@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 

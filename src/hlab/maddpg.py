@@ -136,7 +136,6 @@ class AgentNets:
 @dataclass
 class Transition:
     obs: np.ndarray  # (n, obs_dim)
-    action_probs: np.ndarray  # (n, 5) soft distributions fed to critics
     action_indices: np.ndarray  # (n,) executed action per agent
     rewards: np.ndarray  # (n,)
     next_obs: np.ndarray  # (n, obs_dim)
@@ -146,7 +145,6 @@ class Transition:
 @dataclass
 class Batch:
     obs: np.ndarray  # (m, n, obs_dim)
-    action_probs: np.ndarray  # (m, n, 5)
     action_indices: np.ndarray  # (m, n)
     rewards: np.ndarray  # (m, n)
     next_obs: np.ndarray  # (m, n, obs_dim)
@@ -167,7 +165,6 @@ class ReplayBuffer:
         self.n_agents = n_agents
         self.obs_dim = obs_dim
         self._obs = np.zeros((capacity, n_agents, obs_dim))
-        self._probs = np.zeros((capacity, n_agents, N_ACTIONS))
         self._idx = np.zeros((capacity, n_agents), dtype=np.int64)
         self._rew = np.zeros((capacity, n_agents))
         self._next = np.zeros((capacity, n_agents, obs_dim))
@@ -181,7 +178,6 @@ class ReplayBuffer:
     def push(self, tr: Transition) -> None:
         k = self._cursor
         self._obs[k] = tr.obs
-        self._probs[k] = tr.action_probs
         self._idx[k] = tr.action_indices
         self._rew[k] = tr.rewards
         self._next[k] = tr.next_obs
@@ -196,7 +192,6 @@ class ReplayBuffer:
         pick = rng.choice(self._size, size=batch_size, replace=False)
         return Batch(
             obs=self._obs[pick],
-            action_probs=self._probs[pick],
             action_indices=self._idx[pick],
             rewards=self._rew[pick],
             next_obs=self._next[pick],
@@ -254,11 +249,11 @@ def critic_update(agent: int, nets: list[AgentNets], batch: Batch,
     q_next = forward(nets[agent].target_critic, x_next)[:, 0]
     y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
     x = _joint_input(batch.obs, _one_hots(batch.action_indices))
-    q = forward(nets[agent].critic, x)[:, 0]
-    err = q - y
+    cache = forward(nets[agent].critic, x, return_cache=True)
+    err = cache[0][:, 0] - y
     loss = float(np.mean(err ** 2))
     upstream = (2.0 / m) * err[:, None]
-    grads = backward_params(nets[agent].critic, x, upstream)
+    grads = backward_params(nets[agent].critic, x, upstream, cache)
     clip_and_apply(nets[agent].critic, grads, nets[agent].critic_opt,
                    max_grad_norm)
     return loss
@@ -280,33 +275,38 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     """
     m = batch.size
     n = len(nets)
+    actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
-    probs_i = forward(nets[agent].actor, obs_i)
     actions = _one_hots(batch.action_indices)
-    actions[:, agent] = probs_i
+    actions[:, agent] = forward(actor, obs_i)
     x = _joint_input(batch.obs, actions)
-    q = forward(nets[agent].critic, x)[:, 0]
-    loss = float(-np.mean(q))
+    # the critic's cache goes before the actor's is made, so only one set of
+    # batch-sized layer arrays is alive at a time
+    cache = forward(nets[agent].critic, x, return_cache=True)
+    loss = float(-np.mean(cache[0][:, 0]))
     upstream = np.full((m, 1), -1.0 / m)
-    dx = input_gradient(nets[agent].critic, x, upstream)
+    dx = input_gradient(nets[agent].critic, x, upstream, cache)
+    del cache
     obs_block = batch.obs.shape[2] * n
     g_action = dx[:, obs_block + agent * N_ACTIONS:
                   obs_block + (agent + 1) * N_ACTIONS]
-    grads = backward_params(nets[agent].actor, obs_i, g_action)
+    cache = forward(actor, obs_i, return_cache=True)
+    grads = backward_params(actor, obs_i, g_action, cache)
     if logit_reg > 0.0:
-        # view the same arrays with a linear head: logits = pre-softmax output
-        body = MlpParams(nets[agent].actor.weights, nets[agent].actor.biases,
-                         "linear")
-        logits = forward(body, obs_i)
+        # the same arrays under a linear head: its output is the cached
+        # pre-softmax logits, so its backward reuses the actor's cache
+        _acts, pre, _squeeze = cache[1]
+        logits = pre[-1]
         loss += logit_reg * float(np.mean(logits ** 2))
+        body = MlpParams(actor.weights, actor.biases, "linear")
         reg_grads = backward_params(
-            body, obs_i, (2.0 * logit_reg / logits.size) * logits)
+            body, obs_i, (2.0 * logit_reg / logits.size) * logits,
+            (logits, cache[1]))
         for gw, rw in zip(grads.weights, reg_grads.weights):
             gw += rw
         for gb, rb in zip(grads.biases, reg_grads.biases):
             gb += rb
-    clip_and_apply(nets[agent].actor, grads, nets[agent].actor_opt,
-                   max_grad_norm)
+    clip_and_apply(actor, grads, nets[agent].actor_opt, max_grad_norm)
     return loss
 
 
@@ -376,17 +376,16 @@ def train(config: TrainConfig,
         state = world.reset(scenario)
         obs = np.stack([world.observe(state, i, scenario) for i in range(n)])
         while not state.done:
-            picks = [select_action(nets[i].actor, obs[i], epsilon, explore_rng)
-                     for i in range(n)]
-            indices = np.array([p[0] for p in picks], dtype=np.int64)
-            probs = np.stack([p[1] for p in picks])
+            indices = np.array(
+                [select_action(nets[i].actor, obs[i], epsilon, explore_rng)[0]
+                 for i in range(n)], dtype=np.int64)
             joint = _one_hots(indices)
             outcome = world.step(state, joint, scenario)
             state = outcome.next_state
             next_obs = np.stack([world.observe(state, i, scenario)
                                  for i in range(n)])
             buffer.push(Transition(
-                obs=obs, action_probs=probs, action_indices=indices,
+                obs=obs, action_indices=indices,
                 rewards=outcome.rewards, next_obs=next_obs,
                 terminal=state.done_reason == "goal",
             ))
@@ -537,7 +536,9 @@ def save_checkpoint(nets: Sequence[AgentNets], dirpath) -> list[str]:
         }
         path = os.path.join(dirpath, f"agent_{i}.json")
         with open(path, "w") as fp:
-            json.dump(doc, fp)
+            # dumps runs the C encoder in one go; dump writes the same bytes
+            # through the slower pure-Python encoder
+            fp.write(json.dumps(doc))
         paths.append(path)
     return paths
 

@@ -113,7 +113,8 @@ def forward(params: MlpParams, x: np.ndarray,
     acts = [h]
     pre = []
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre.append(z)
         if l < params.n_layers - 1:
             h = np.maximum(z, 0.0)
@@ -128,10 +129,9 @@ def forward(params: MlpParams, x: np.ndarray,
     return out
 
 
-def _head_vjp(params: MlpParams, upstream: np.ndarray, out: np.ndarray,
-              z_last: np.ndarray) -> np.ndarray:
+def _head_vjp(params: MlpParams, upstream: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
     """Pull upstream cotangent back through the head nonlinearity."""
-    del z_last
     if params.head == "softmax":
         # g_z = S^T u with S = diag(p) - p p^T (symmetric)
         dot = (upstream * out).sum(axis=-1, keepdims=True)
@@ -139,40 +139,55 @@ def _head_vjp(params: MlpParams, upstream: np.ndarray, out: np.ndarray,
     return upstream
 
 
-def backward_params(params: MlpParams, x: np.ndarray,
-                    upstream: np.ndarray) -> "MlpParams":
-    """Gradient of sum_batch <upstream, f(x)> w.r.t. every weight and bias.
+def _head_grad(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
+               cache):
+    """Head cotangent plus the layer activations it flows back through.
 
-    upstream has the same shape as forward(params, x); batch rows are summed,
-    matching the mean-loss convention when the caller pre-divides by m.
+    cache is what forward(params, x, return_cache=True) returned for this x;
+    without one the forward runs here.
     """
-    out, (acts, pre, squeeze) = forward(params, x, return_cache=True)
+    if cache is None:
+        cache = forward(params, x, return_cache=True)
+    out, (acts, pre, squeeze) = cache
     u = np.asarray(upstream, dtype=float)
     if squeeze:
         u = u.reshape(1, -1)
         out = out.reshape(1, -1)
-    g = _head_vjp(params, u, out, pre[-1])
+    return _head_vjp(params, u, out), acts, pre, squeeze
+
+
+def backward_params(params: MlpParams, x: np.ndarray,
+                    upstream: np.ndarray, cache=None) -> "MlpParams":
+    """Gradient of sum_batch <upstream, f(x)> w.r.t. every weight and bias.
+
+    upstream has the same shape as forward(params, x); batch rows are summed,
+    matching the mean-loss convention when the caller pre-divides by m.
+    Passing the cache of forward(params, x, return_cache=True) skips the
+    forward pass.
+    """
+    g, acts, pre, _squeeze = _head_grad(params, x, upstream, cache)
     grads_w: list[np.ndarray] = [None] * params.n_layers  # type: ignore
     grads_b: list[np.ndarray] = [None] * params.n_layers  # type: ignore
     for l in range(params.n_layers - 1, -1, -1):
         grads_w[l] = g.T @ acts[l]
         grads_b[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
+            g = g @ params.weights[l]
+            g *= pre[l - 1] > 0.0
     return MlpParams(grads_w, grads_b, params.head)
 
 
 def input_gradient(params: MlpParams, x: np.ndarray,
-                   upstream: np.ndarray) -> np.ndarray:
-    """Gradient of <upstream, f(x)> w.r.t. x; batched rows stay independent."""
-    out, (acts, pre, squeeze) = forward(params, x, return_cache=True)
-    u = np.asarray(upstream, dtype=float)
-    if squeeze:
-        u = u.reshape(1, -1)
-        out = out.reshape(1, -1)
-    g = _head_vjp(params, u, out, pre[-1])
+                   upstream: np.ndarray, cache=None) -> np.ndarray:
+    """Gradient of <upstream, f(x)> w.r.t. x; batched rows stay independent.
+
+    Passing the cache of forward(params, x, return_cache=True) skips the
+    forward pass.
+    """
+    g, _acts, pre, squeeze = _head_grad(params, x, upstream, cache)
     for l in range(params.n_layers - 1, 0, -1):
-        g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
+        g = g @ params.weights[l]
+        g *= pre[l - 1] > 0.0
     g = g @ params.weights[0]
     return g[0] if squeeze else g
 

@@ -49,15 +49,17 @@ def synthetic_world(rng, n_agents=2, obs_dim=4, hidden=(5, 4),
             target_actor=actor.copy(), target_critic=critic.copy(),
             actor_opt=nn.OptimizerState.for_params(actor, lr, algo=algo),
             critic_opt=nn.OptimizerState.for_params(critic, lr, algo=algo)))
-    b = Batch(
+    return nets, random_batch(rng, batch, n_agents, obs_dim)
+
+
+def random_batch(rng, batch, n_agents, obs_dim):
+    return Batch(
         obs=rng.normal(size=(batch, n_agents, obs_dim)),
-        action_probs=rng.dirichlet(np.ones(5), size=(batch, n_agents)),
         action_indices=rng.integers(0, 5, size=(batch, n_agents)),
         rewards=rng.normal(size=(batch, n_agents)),
         next_obs=rng.normal(size=(batch, n_agents, obs_dim)),
         terminal=(rng.random(batch) < 0.3).astype(float),
     )
-    return nets, b
 
 
 def _chain_gap(nets, agent, batch):
@@ -142,7 +144,6 @@ class TestReplayBuffer:
     def _tr(self, tag, n=2, od=3):
         return Transition(
             obs=np.full((n, od), float(tag)),
-            action_probs=np.full((n, 5), 0.2),
             action_indices=np.full(n, tag % 5, dtype=np.int64),
             rewards=np.full(n, float(tag)),
             next_obs=np.zeros((n, od)),
@@ -312,7 +313,8 @@ class TestCriticUpdate:
         assert losses[-1] < losses[0]
 
     def test_bootstrap_uses_target_actor_soft_output(self, rng):
-        # scrambling the stored next-step probs must not change the update
+        # the batch stores no soft outputs, so the bootstrap term can only
+        # come from the target actors; a cloned population updates alike
         nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3)
         nets2 = [AgentNets(a.actor.copy(), a.critic.copy(),
                            a.target_actor.copy(), a.target_critic.copy(),
@@ -320,7 +322,6 @@ class TestCriticUpdate:
                            nn.OptimizerState.for_params(a.critic, 0.01))
                  for a in nets]
         l1 = critic_update(0, nets, batch, 0.9, 0.5)
-        batch.action_probs = np.roll(batch.action_probs, 1, axis=0)
         l2 = critic_update(0, nets2, batch, 0.9, 0.5)
         assert l1 == l2
         assert np.array_equal(nets[0].critic.flatten(),
@@ -379,12 +380,11 @@ class TestActorUpdate:
                            nn.OptimizerState.for_params(a.actor, 0.01),
                            nn.OptimizerState.for_params(a.critic, 0.01))
                  for a in nets]
-        # perturbing agent 1's actor and the stored soft probs must not
-        # change agent 0's update: only executed indices enter its critic
+        # perturbing agent 1's actor must not change agent 0's update:
+        # only executed indices enter its critic
         nets2[1].actor.weights[0][...] += 1.0
-        batch2 = Batch(batch.obs, np.roll(batch.action_probs, 2, 0),
-                       batch.action_indices, batch.rewards, batch.next_obs,
-                       batch.terminal)
+        batch2 = Batch(batch.obs, batch.action_indices, batch.rewards,
+                       batch.next_obs, batch.terminal)
         l1 = actor_update(0, nets, batch, 0.5)
         l2 = actor_update(0, nets2, batch2, 0.5)
         assert l1 == l2
@@ -399,8 +399,7 @@ class TestActorUpdate:
                            nn.OptimizerState.for_params(a.actor, 0.01),
                            nn.OptimizerState.for_params(a.critic, 0.01))
                  for a in nets]
-        batch2 = Batch(batch.obs, batch.action_probs,
-                       batch.action_indices.copy(), batch.rewards,
+        batch2 = Batch(batch.obs, batch.action_indices.copy(), batch.rewards,
                        batch.next_obs, batch.terminal)
         batch2.action_indices[:, 0] = (batch2.action_indices[:, 0] + 2) % 5
         assert actor_update(0, nets, batch, 0.5) == \
@@ -581,6 +580,175 @@ class TestRewardLogAndCheckpoints:
             assert np.array_equal(a.target_critic.flatten(),
                                   b.target_critic.flatten())
 
+    def test_checkpoint_text_is_one_json_document(self, tmp_path):
+        res = train(tiny_config())
+        paths = maddpg.save_checkpoint(res.nets, tmp_path / "ck")
+        for i, (a, path) in enumerate(zip(res.nets, paths), start=1):
+            doc = {
+                "agent": i,
+                "actor": a.actor.to_json_dict(),
+                "critic": a.critic.to_json_dict(),
+                "target_actor": a.target_actor.to_json_dict(),
+                "target_critic": a.target_critic.to_json_dict(),
+            }
+            with open(path) as fp:
+                assert fp.read() == json.dumps(doc)
+
     def test_checkpoint_rejects_bad_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             maddpg.load_checkpoint(tmp_path / "missing")
+
+
+# ---------------------------------------------------------------------------
+# Reference update round: every pass recomputed, as before forward caches
+# were shared. Kept verbatim in its arithmetic so the shipped round can be
+# held to it bit for bit.
+
+def _ref_forward(params, x, return_cache=False):
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = x.reshape(1, -1) if squeeze else x
+    acts, pre = [h], []
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        if l < params.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        elif params.head == "softmax":
+            shifted = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            h = e / e.sum(axis=-1, keepdims=True)
+        else:
+            h = z
+        acts.append(h)
+    out = h[0] if squeeze else h
+    return (out, (acts, pre, squeeze)) if return_cache else out
+
+
+def _ref_head(params, x, upstream):
+    out, (acts, pre, squeeze) = _ref_forward(params, x, return_cache=True)
+    u = np.asarray(upstream, dtype=float)
+    if squeeze:
+        u = u.reshape(1, -1)
+        out = out.reshape(1, -1)
+    if params.head == "softmax":
+        dot = (u * out).sum(axis=-1, keepdims=True)
+        u = out * (u - dot)
+    return u, acts, pre, squeeze
+
+
+def _ref_backward_params(params, x, upstream):
+    g, acts, pre, _ = _ref_head(params, x, upstream)
+    gw, gb = [None] * params.n_layers, [None] * params.n_layers
+    for l in range(params.n_layers - 1, -1, -1):
+        gw[l] = g.T @ acts[l]
+        gb[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
+    return nn.MlpParams(gw, gb, params.head)
+
+
+def _ref_input_gradient(params, x, upstream):
+    g, _, pre, squeeze = _ref_head(params, x, upstream)
+    for l in range(params.n_layers - 1, 0, -1):
+        g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
+    g = g @ params.weights[0]
+    return g[0] if squeeze else g
+
+
+def _ref_critic_update(agent, nets, batch, gamma, max_grad_norm):
+    m = batch.size
+    next_probs = np.stack(
+        [_ref_forward(nets[j].target_actor, batch.next_obs[:, j])
+         for j in range(len(nets))], axis=1)
+    x_next = _joint_input(batch.next_obs, next_probs)
+    q_next = _ref_forward(nets[agent].target_critic, x_next)[:, 0]
+    y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
+    x = _joint_input(batch.obs, _one_hots(batch.action_indices))
+    q = _ref_forward(nets[agent].critic, x)[:, 0]
+    err = q - y
+    loss = float(np.mean(err ** 2))
+    grads = _ref_backward_params(nets[agent].critic, x,
+                                 (2.0 / m) * err[:, None])
+    nn.clip_and_apply(nets[agent].critic, grads, nets[agent].critic_opt,
+                      max_grad_norm)
+    return loss
+
+
+def _ref_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
+    m = batch.size
+    n = len(nets)
+    obs_i = batch.obs[:, agent]
+    probs_i = _ref_forward(nets[agent].actor, obs_i)
+    actions = _one_hots(batch.action_indices)
+    actions[:, agent] = probs_i
+    x = _joint_input(batch.obs, actions)
+    q = _ref_forward(nets[agent].critic, x)[:, 0]
+    loss = float(-np.mean(q))
+    dx = _ref_input_gradient(nets[agent].critic, x,
+                             np.full((m, 1), -1.0 / m))
+    obs_block = batch.obs.shape[2] * n
+    g_action = dx[:, obs_block + agent * world.N_ACTIONS:
+                  obs_block + (agent + 1) * world.N_ACTIONS]
+    grads = _ref_backward_params(nets[agent].actor, obs_i, g_action)
+    if logit_reg > 0.0:
+        body = nn.MlpParams(nets[agent].actor.weights,
+                            nets[agent].actor.biases, "linear")
+        logits = _ref_forward(body, obs_i)
+        loss += logit_reg * float(np.mean(logits ** 2))
+        reg_grads = _ref_backward_params(
+            body, obs_i, (2.0 * logit_reg / logits.size) * logits)
+        for gw, rw in zip(grads.weights, reg_grads.weights):
+            gw += rw
+        for gb, rb in zip(grads.biases, reg_grads.biases):
+            gb += rb
+    nn.clip_and_apply(nets[agent].actor, grads, nets[agent].actor_opt,
+                      max_grad_norm)
+    return loss
+
+
+def _clone(nets):
+    return [AgentNets(a.actor.copy(), a.critic.copy(), a.target_actor.copy(),
+                      a.target_critic.copy(),
+                      nn.OptimizerState.for_params(a.actor, 0.01),
+                      nn.OptimizerState.for_params(a.critic, 0.01))
+            for a in nets]
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_update_round_matches_reference(n_agents, batch_size, monkeypatch):
+    rng = np.random.default_rng(100 * n_agents + batch_size)
+    nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=6,
+                              hidden=(32, 16), batch=batch_size)
+    ref = _clone(nets)
+    calls = []
+    real = nn.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    monkeypatch.setattr(maddpg, "forward", counting)
+    for rnd in range(4):
+        calls.clear()
+        clip = 0.5 if rnd % 2 == 0 else 0.0  # 0 steps unclipped
+        for i in range(n_agents):
+            batch = random_batch(rng, batch_size, n_agents, obs_dim=6)
+            assert critic_update(i, nets, batch, 0.97, clip) == \
+                _ref_critic_update(i, ref, batch, 0.97, clip)
+            assert actor_update(i, nets, batch, clip, 1e-2) == \
+                _ref_actor_update(i, ref, batch, clip, 1e-2)
+        sync_targets(nets, 0.05)
+        sync_targets(ref, 0.05)
+        # per agent: n target actors, the target critic and the critic,
+        # then the actor's soft output, the critic, and one cached actor
+        # pass for both actor backwards (24 for 3 agents, 36 before)
+        assert len(calls) == n_agents * (n_agents + 5)
+        for a, b in zip(nets, ref):
+            for name in ("actor", "critic", "target_actor", "target_critic"):
+                pa, pb = getattr(a, name), getattr(b, name)
+                for wa, wb in zip(pa.weights + pa.biases,
+                                  pb.weights + pb.biases):
+                    assert np.array_equal(wa, wb), name

@@ -117,6 +117,20 @@ class TestGradientsAgainstFiniteDifferences:
                    for k in range(3))
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    @pytest.mark.parametrize("shape", [(6,), (9, 6)])
+    def test_cached_backward_equals_uncached(self, rng, head, shape):
+        p = nn.init_params(6, [8, 4], 5, head, rng)
+        x = rng.normal(size=shape)
+        u = rng.normal(size=shape[:-1] + (5,))
+        cache = nn.forward(p, x, return_cache=True)
+        got = nn.backward_params(p, x, u, cache)
+        want = nn.backward_params(p, x, u)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(nn.input_gradient(p, x, u, cache),
+                              nn.input_gradient(p, x, u))
+
     def test_linear_net_jacobian_is_weight_matrix(self):
         w = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 4.0]])
         p = nn.MlpParams([w], [np.zeros(2)], "linear")
