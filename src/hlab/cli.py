@@ -20,7 +20,7 @@ in a process pool. A run is deterministic for a given build and BLAS thread
 count: numpy's BLAS may use every core, and checkpoint bytes can change with
 the thread count, so pin OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
 comparing runs. manifest.json records both, with the Python and numpy
-versions, under "environment".
+versions and numpy's BLAS library, under "environment".
 """
 from __future__ import annotations
 
@@ -57,11 +57,22 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _blas() -> dict:
+    """The BLAS numpy was built against, from numpy's own build record."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 keeps no such record
+        blas = {}
+    return {key: blas.get(key)
+            for key in ("name", "version", "openblas configuration")}
+
+
 def _environment() -> dict:
-    """Build and BLAS thread settings that byte-identical reruns depend on."""
+    """Build and BLAS settings that byte-identical reruns depend on."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
@@ -134,8 +145,9 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     return maddpg.TrainConfig.from_json_dict(doc)
 
 
-def _check_compatibility(nets: list[maddpg.AgentNets],
-                         scenario: world.ScenarioConfig) -> None:
+def _check_compatibility(
+        nets: list[maddpg.AgentNets] | list[maddpg.ActorCritic],
+        scenario: world.ScenarioConfig) -> None:
     n = scenario.n_agents
     if len(nets) != n:
         raise IncompatibilityError(
@@ -223,7 +235,8 @@ def _write_manifest(run_dir: str, manifest: dict) -> None:
         json.dump(manifest, fp, indent=2)
 
 
-def _analyze_into(run_dir: str, nets: list[maddpg.AgentNets],
+def _analyze_into(run_dir: str,
+                  nets: list[maddpg.AgentNets] | list[maddpg.ActorCritic],
                   scenario: world.ScenarioConfig, *, seed: int | None,
                   svg: bool, rollouts: int, min_segment_length: int,
                   checkpoint_ref: str | None) -> dict:
@@ -291,7 +304,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    nets = maddpg.load_checkpoint(args.checkpoint)
+    nets = maddpg.load_actor_critics(args.checkpoint)
     scenario = world.build_scenario(args.scenario or "a")
     run_id = args.run_id or f"analyze-{scenario.scenario_id}"
     run_dir = os.path.join(args.out, run_id)

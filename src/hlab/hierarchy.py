@@ -12,7 +12,8 @@ The per-agent sums are accumulated with math.fsum: each D_i is the correctly
 rounded sum of its raw signed entries, and the team total cancels to zero at
 machine precision.
 
-A rollout yields one sensitivity matrix and one D vector per step; runs of a
+A rollout yields one sensitivity matrix and one D vector per step, with
+each agent's Jacobians taken at every step in one stacked pass; runs of a
 common per-step argmax leader become phase segments, and a single segment
 spanning the whole episode is persistent dominance (otherwise alternating).
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from hlab.maddpg import AgentNets, Trajectory, _actor_list
-from hlab.nn import MlpParams, input_jacobian
+from hlab.nn import MlpParams, input_jacobian, input_jacobians
 from hlab.world import ObservationLayout, ScenarioConfig
 
 TIE_TOL = 1e-12
@@ -53,6 +54,11 @@ class SensitivityMatrix:
             raise ValueError("diagonal must be exactly zero")
 
 
+def _block_norm(jac: np.ndarray, block: np.ndarray, ord: str | int) -> float:
+    """|grad_ij| from agent i's input Jacobian and j's teammate_block."""
+    return float(np.linalg.norm(jac[:, block], ord=ord))
+
+
 def pairwise_sensitivity(actor: MlpParams, obs: np.ndarray,
                          layout: ObservationLayout, j: int,
                          ord: str | int = "fro") -> float:
@@ -67,9 +73,15 @@ def pairwise_sensitivity(actor: MlpParams, obs: np.ndarray,
     if obs.shape != (layout.total_dim,):
         raise ValueError(f"observation shape {obs.shape} does not match "
                          f"layout dim {layout.total_dim}")
-    jac = input_jacobian(actor, obs)
-    block = jac[:, layout.teammate_block(j)]
-    return float(np.linalg.norm(block, ord=ord))
+    return _block_norm(input_jacobian(actor, obs), layout.teammate_block(j),
+                       ord)
+
+
+def _check_actor_count(actors: Sequence[MlpParams],
+                       scenario: ScenarioConfig) -> None:
+    if len(actors) != scenario.n_agents:
+        raise ValueError(f"{len(actors)} actors for "
+                         f"{scenario.n_agents} agents")
 
 
 def sensitivity_matrix(actors: Sequence[MlpParams], joint_obs: np.ndarray,
@@ -77,18 +89,16 @@ def sensitivity_matrix(actors: Sequence[MlpParams], joint_obs: np.ndarray,
                        step_index: int = 0,
                        ord: str | int = "fro") -> SensitivityMatrix:
     """All n(n-1) directed sensitivities at one recorded step."""
+    _check_actor_count(actors, scenario)
     n = scenario.n_agents
-    if len(actors) != n:
-        raise ValueError(f"{len(actors)} actors for {n} agents")
     entries = np.zeros((n, n))
     for i in range(n):
         layout = scenario.layout(i)
         jac = input_jacobian(actors[i], np.asarray(joint_obs[i], dtype=float))
         for j in range(n):
-            if j == i:
-                continue
-            block = jac[:, layout.teammate_block(j)]
-            entries[i, j] = float(np.linalg.norm(block, ord=ord))
+            if j != i:
+                entries[i, j] = _block_norm(jac, layout.teammate_block(j),
+                                            ord)
     return SensitivityMatrix(step_index=step_index, entries=entries)
 
 
@@ -168,6 +178,7 @@ def analyze_rollout(trajectory: Trajectory,
                     ord: str | int = "fro") -> DependencyTrace:
     """Sensitivities and D at every recorded step of a rollout."""
     actor_params = _actor_list(list(actors))
+    _check_actor_count(actor_params, scenario)
     n = scenario.n_agents
     if trajectory.n_agents != n:
         raise ValueError(f"trajectory has {trajectory.n_agents} agents, "
@@ -177,18 +188,23 @@ def analyze_rollout(trajectory: Trajectory,
         if actor.in_dim != want:
             raise ValueError(f"actor {i} expects {actor.in_dim}-dim input, "
                              f"scenario observations are {want}-dim")
+    # row i of every step's matrix from one stacked pass over agent i's
+    # observations; each step's Jacobian is input_jacobian's, bit for bit
     t_steps = trajectory.n_steps
-    deps = np.zeros((t_steps, n))
     sens = np.zeros((t_steps, n, n))
+    for i, actor in enumerate(actor_params):
+        layout = scenario.layout(i)
+        blocks = [(j, layout.teammate_block(j)) for j in range(n) if j != i]
+        jacs = input_jacobians(actor, trajectory.observations[:, i])
+        for t in range(t_steps):
+            for j, block in blocks:
+                sens[t, i, j] = _block_norm(jacs[t], block, ord)
+    deps = np.zeros((t_steps, n))
     leaders = np.zeros(t_steps, dtype=np.int64)
     ties = np.zeros(t_steps, dtype=bool)
     for t in range(t_steps):
-        m = sensitivity_matrix(actor_params, trajectory.observations[t],
-                               scenario, step_index=t, ord=ord)
-        d = dependency_values(m)
-        sens[t] = m.entries
-        deps[t] = d
-        call = identify_hierarchy(d)
+        deps[t] = dependency_values(sens[t])
+        call = identify_hierarchy(deps[t])
         leaders[t] = 0 if call.leader is None else call.leader
         ties[t] = call.tie
     return DependencyTrace(

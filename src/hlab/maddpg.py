@@ -22,7 +22,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -511,7 +511,6 @@ class Trajectory:
     states: list[WorldState]  # T + 1 entries, reset state first
     observations: np.ndarray  # (T, n, obs_dim), taken before each action
     action_indices: np.ndarray  # (T, n)
-    action_probs: np.ndarray  # (T, n, 5)
     rewards: np.ndarray  # (T, n)
     done_reason: str | None
 
@@ -531,8 +530,9 @@ class Trajectory:
                                    self.action_indices, self.rewards)
 
 
-def _actor_list(nets: Sequence[AgentNets] | Sequence[MlpParams]) -> list[MlpParams]:
-    return [a.actor if isinstance(a, AgentNets) else a for a in nets]
+def _actor_list(nets: Sequence[AgentNets] | Sequence[ActorCritic]
+                | Sequence[MlpParams]) -> list[MlpParams]:
+    return [a if isinstance(a, MlpParams) else a.actor for a in nets]
 
 
 def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
@@ -546,25 +546,23 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
     policy = _team_forward(actors)
     state = world.reset(scenario)
     states = [state.copy()]
-    all_obs, all_idx, all_probs, all_rew = [], [], [], []
+    all_obs, all_idx, all_rew = [], [], []
     while not state.done:
         obs = world.observe_all(state, scenario)
-        indices, probs = _team_actions(policy, obs, epsilon, rng,
-                                       need_probs=True)
+        indices, _probs = _team_actions(policy, obs, epsilon, rng,
+                                        need_probs=False)
         joint = _one_hots(indices)
         outcome = world.step(state, joint, scenario)
         state = outcome.next_state
         states.append(state.copy())
         all_obs.append(obs)
         all_idx.append(indices)
-        all_probs.append(probs)
         all_rew.append(outcome.rewards)
     return Trajectory(
         scenario_id=scenario.scenario_id,
         states=states,
         observations=np.stack(all_obs),
         action_indices=np.stack(all_idx),
-        action_probs=np.stack(all_probs),
         rewards=np.stack(all_rew),
         done_reason=state.done_reason,
     )
@@ -628,8 +626,20 @@ def save_checkpoint(nets: Sequence[AgentNets], dirpath) -> list[str]:
     return paths
 
 
-def load_checkpoint(dirpath, lr_actor: float = 0.01,
-                    lr_critic: float = 0.01) -> list[AgentNets]:
+_CRITIC_KEYS = ("agent", "actor", "critic")
+_ALL_KEYS = _CRITIC_KEYS + ("target_actor", "target_critic")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class ActorCritic(NamedTuple):
+    """The part of a checkpointed agent that analysis reads."""
+
+    actor: MlpParams
+    critic: MlpParams
+
+
+def _agent_files(dirpath) -> list[str]:
+    """Paths of a checkpoint's agent_<k>.json files, in label order."""
     files = sorted(
         (f for f in os.listdir(dirpath)
          if re.fullmatch(r"agent_\d+\.json", f)),
@@ -637,13 +647,78 @@ def load_checkpoint(dirpath, lr_actor: float = 0.01,
     )
     if not files:
         raise FileNotFoundError(f"no agent_<k>.json files in {dirpath}")
+    return [os.path.join(dirpath, f) for f in files]
+
+
+def _check_agent_doc(path: str, k: int, doc: dict,
+                     keys: Sequence[str]) -> None:
+    """The k-th file must carry label k and every member in keys."""
+    fname = os.path.basename(path)
+    if doc.get("agent") != k:
+        raise ValueError(f"{fname} carries agent label {doc.get('agent')}, "
+                         f"expected {k}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{fname} lacks {', '.join(missing)}")
+
+
+def _leading_members(text: str, keys: Sequence[str]) -> dict:
+    """Top-level members of the JSON object in text, decoded in file order.
+
+    Stops as soon as every key in keys has been read, so what follows those
+    members is never parsed, nor checked. Without them all, it reads up to
+    the object's end.
+    """
+    decode = json.JSONDecoder().raw_decode
+    skip = _JSON_SPACE.match
+    doc: dict = {}
+    pos = skip(text).end()
+    if not text.startswith("{", pos):
+        raise json.JSONDecodeError("Expecting '{'", text, pos)
+    pos = skip(text, pos + 1).end()
+    end = text.startswith("}", pos)
+    while not end and not all(key in doc for key in keys):
+        key, pos = decode(text, pos)
+        if not isinstance(key, str):
+            raise json.JSONDecodeError("Expecting property name", text, pos)
+        pos = skip(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        doc[key], pos = decode(text, skip(text, pos + 1).end())
+        pos = skip(text, pos).end()
+        end = text.startswith("}", pos)
+        if not end and not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = skip(text, pos + 1).end()
+    return doc
+
+
+def load_actor_critics(dirpath) -> list[ActorCritic]:
+    """Each agent's actor and critic, parsed without the target networks.
+
+    save_checkpoint writes the targets after the critic, so they are never
+    parsed: about half of a file's numbers. A file in another valid JSON
+    layout or key order reads the same, though members written before the
+    critic are then parsed too. Damage inside the skipped members goes
+    unnoticed here; load_checkpoint still rejects it.
+    """
+    out = []
+    for k, path in enumerate(_agent_files(dirpath), start=1):
+        with open(path) as fp:
+            doc = _leading_members(fp.read(), _CRITIC_KEYS)
+        _check_agent_doc(path, k, doc, _CRITIC_KEYS)
+        out.append(ActorCritic(MlpParams.from_json_dict(doc["actor"]),
+                               MlpParams.from_json_dict(doc["critic"])))
+    return out
+
+
+def load_checkpoint(dirpath, lr_actor: float = 0.01,
+                    lr_critic: float = 0.01) -> list[AgentNets]:
     nets = []
-    for k, fname in enumerate(files, start=1):
-        with open(os.path.join(dirpath, fname)) as fp:
+    for k, path in enumerate(_agent_files(dirpath), start=1):
+        with open(path) as fp:
             doc = json.load(fp)
-        if doc.get("agent") != k:
-            raise ValueError(f"{fname} carries agent label {doc.get('agent')}, "
-                             f"expected {k}")
+        _check_agent_doc(path, k, doc, _ALL_KEYS)
         actor = MlpParams.from_json_dict(doc["actor"])
         critic = MlpParams.from_json_dict(doc["critic"])
         nets.append(AgentNets(

@@ -2,8 +2,9 @@
 
 Everything the trainer and the analysis need from a network lives here:
 forward evaluation, reverse-mode gradients with respect to parameters and
-inputs, a forward-accumulated input Jacobian, Adam/SGD steps guarded by
-global-norm clipping, and Polyak target updates. float64 throughout.
+inputs, forward-accumulated input Jacobians (at one input, or stacked over
+many), Adam/SGD steps guarded by global-norm clipping, and Polyak target
+updates. float64 throughout.
 
 A network is a list of (W, b) layers. Hidden layers use ReLU; the head is
 either linear (value heads) or softmax (action heads). Softmax outputs are
@@ -210,6 +211,36 @@ def input_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
     if params.head == "softmax":
         p = out
         jac = (np.diag(p) - np.outer(p, p)) @ jac
+    return jac
+
+
+def input_jacobians(params: MlpParams, xs: np.ndarray) -> np.ndarray:
+    """input_jacobian at every row of xs (T, in_dim): shape (T, out, in_dim).
+
+    Slice t equals input_jacobian(params, xs[t]) bit for bit. The forward
+    runs on (T, 1, in_dim) stacks, so matmul takes the same one-row product
+    per slice that forward takes for one vector, and every Jacobian product
+    is the per-step 2-D product, stacked.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != params.in_dim:
+        raise ValueError(f"inputs of shape {xs.shape} do not stack "
+                         f"{params.in_dim}-dim vectors")
+    h = xs[:, None, :]
+    jac = np.eye(params.in_dim)
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(h, w.T)
+        z += b
+        jac = np.matmul(w, jac)
+        if l < params.n_layers - 1:
+            jac = jac * (z > 0.0).transpose(0, 2, 1)
+            h = np.maximum(z, 0.0)
+    if jac.ndim == 2:  # a single layer never met a per-step mask
+        jac = np.repeat(jac[None], len(xs), axis=0)
+    if params.head == "softmax":
+        p = _softmax(z)  # (T, 1, out): diag(p) - p p^T per step, stacked
+        s = np.eye(params.out_dim) * p - p.transpose(0, 2, 1) * p
+        jac = np.matmul(s, jac)
     return jac
 
 

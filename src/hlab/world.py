@@ -321,14 +321,12 @@ class ObservationLayout:
         return np.array([pos.start, pos.start + 1, vel.start, vel.start + 1])
 
 
-def reset(config: ScenarioConfig, seed: int | None = None) -> WorldState:
+def reset(config: ScenarioConfig) -> WorldState:
     """Initial state: configured start positions, zero velocities.
 
-    The start configuration is fixed, so the state is identical for every
-    seed; the parameter exists to keep the reset contract explicit.
+    The start configuration is fixed, so every episode starts alike.
     """
     config.validate()
-    del seed  # deterministic starts
     return WorldState(
         step_index=0,
         agent_pos=np.array(config.agent_starts, dtype=float),

@@ -156,6 +156,21 @@ class TestAnalyzeCommand:
         assert rc == cli.EXIT_INCOMPATIBLE
         assert "actor expects" in capsys.readouterr().err
 
+    def test_wrong_critic_width_exits_3(self, tmp_path, capsys):
+        run_dir = run_train(tmp_path)
+        path = run_dir / "checkpoints/final/agent_2.json"
+        doc = json.loads(path.read_text())
+        layer = doc["critic"]["layers"][0]
+        layer["w"] = [row + [0.0] for row in layer["w"]]
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["analyze",
+                       "--checkpoint", str(run_dir / "checkpoints/final"),
+                       "--out", str(tmp_path)])
+        assert rc == cli.EXIT_INCOMPATIBLE
+        err = capsys.readouterr().err
+        assert "agent 2 critic expects" in err
+        assert "actor expects" not in err
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli.main(["analyze", "--checkpoint",
                        str(tmp_path / "nope"), "--out", str(tmp_path)])
@@ -173,9 +188,14 @@ class TestManifestEnvironment:
                   "--run-id", "an1"])
         for d in (run_dir, tmp_path / "an1"):
             env = json.loads((d / "manifest.json").read_text())["environment"]
-            assert set(env) == {"python", "numpy", "OPENBLAS_NUM_THREADS",
-                                "OMP_NUM_THREADS"}
+            assert set(env) == {"python", "numpy", "blas",
+                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
             assert env["numpy"] == np.__version__
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert env["blas"] == {
+                key: blas.get(key)
+                for key in ("name", "version", "openblas configuration")}
+            assert env["blas"]["name"]
             assert env["OPENBLAS_NUM_THREADS"] == "1"
             assert env["OMP_NUM_THREADS"] is None
 

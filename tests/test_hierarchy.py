@@ -25,7 +25,7 @@ from hlab.hierarchy import (
     trace_columns,
     write_trace_csv,
 )
-from hlab.maddpg import TrainConfig, rollout, train
+from hlab.maddpg import TrainConfig, build_agents, rollout, train
 
 
 WORKED = np.array([
@@ -251,6 +251,34 @@ class TestAnalyzeRollout:
         sc_c = world.build_scenario("c")  # 18-dim obs vs trained 20-dim
         with pytest.raises(ValueError, match="expects"):
             analyze_rollout(traj, res.nets, sc_c)
+
+    def test_wrong_actor_count_rejected(self, mini_run):
+        res, traj = mini_run
+        with pytest.raises(ValueError, match="2 actors for 3 agents"):
+            analyze_rollout(traj, res.nets[:2], res.scenario)
+
+    @pytest.mark.parametrize("ord", ["fro", 2])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("scenario_id", ["a", "b", "c"])
+    def test_matches_per_step_oracle(self, scenario_id, epsilon, ord):
+        # reference-width actors; one sensitivity_matrix (one
+        # input_jacobian per agent) per step is the oracle
+        sc = world.build_scenario(scenario_id)
+        nets = build_agents(sc, TrainConfig(scenario_id=scenario_id,
+                                            seed=11))
+        traj = rollout(nets, sc, epsilon=epsilon,
+                       rng=np.random.default_rng(4))
+        trace = analyze_rollout(traj, nets, sc, ord=ord)
+        actors = [a.actor for a in nets]
+        for t in range(traj.n_steps):
+            m = sensitivity_matrix(actors, traj.observations[t], sc,
+                                   step_index=t, ord=ord)
+            d = dependency_values(m)
+            call = identify_hierarchy(d)
+            assert np.array_equal(trace.sensitivities[t], m.entries)
+            assert np.array_equal(trace.dependencies[t], d)
+            assert trace.leaders[t] == (call.leader or 0)
+            assert trace.ties[t] == call.tie
 
 
 class TestSegmentPhases:

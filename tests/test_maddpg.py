@@ -1,6 +1,7 @@
 """Trainer tests. Update-rule gradients are checked against finite
 differences through the full actor-critic chain."""
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -598,6 +599,93 @@ class TestRewardLogAndCheckpoints:
     def test_checkpoint_rejects_bad_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             maddpg.load_checkpoint(tmp_path / "missing")
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        res = train(tiny_config())
+        paths = maddpg.save_checkpoint(res.nets, tmp_path / "ck")
+        return res.nets, paths
+
+    @staticmethod
+    def _same_actor_critics(got, nets):
+        assert len(got) == len(nets)
+        for g, a in zip(got, nets):
+            assert g.actor.head == "softmax" and g.critic.head == "linear"
+            assert np.array_equal(g.actor.flatten(), a.actor.flatten())
+            assert np.array_equal(g.critic.flatten(), a.critic.flatten())
+
+    def test_actor_critic_loader_matches_saved_nets(self, saved):
+        nets, paths = saved
+        self._same_actor_critics(
+            maddpg.load_actor_critics(os.path.dirname(paths[0])), nets)
+
+    @pytest.mark.parametrize("layout", ["indent", "reordered"])
+    def test_actor_critic_loader_reads_any_json_layout(self, saved, layout):
+        nets, paths = saved
+        for path in paths:
+            with open(path) as fp:
+                doc = json.load(fp)
+            if layout == "indent":
+                text = json.dumps(doc, indent=2)
+            else:  # targets first, critic before actor, label last
+                order = ["target_critic", "critic", "target_actor", "actor",
+                         "agent"]
+                text = json.dumps({k: doc[k] for k in order})
+            with open(path, "w") as fp:
+                fp.write(text)
+        ckpt = os.path.dirname(paths[0])
+        self._same_actor_critics(maddpg.load_actor_critics(ckpt), nets)
+        self._same_actor_critics(maddpg.load_checkpoint(ckpt), nets)
+
+    def test_actor_critic_loader_skips_target_networks(self, saved):
+        # damage after the critic is never parsed here; the full loader
+        # still rejects the file
+        nets, paths = saved
+        with open(paths[1]) as fp:
+            text = fp.read()
+        cut = text.index('"target_actor"') + 40
+        with open(paths[1], "w") as fp:
+            fp.write(text[:cut])
+        ckpt = os.path.dirname(paths[0])
+        self._same_actor_critics(maddpg.load_actor_critics(ckpt), nets)
+        with pytest.raises(ValueError):
+            maddpg.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_truncated_file(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[0]) as fp:
+            text = fp.read()
+        with open(paths[0], "w") as fp:
+            fp.write(text[:text.index('"critic"') + 30])
+        with pytest.raises(ValueError):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_wrong_agent_label(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[2]) as fp:
+            doc = json.load(fp)
+        doc["agent"] = 2
+        with open(paths[2], "w") as fp:
+            fp.write(json.dumps(doc))
+        with pytest.raises(ValueError, match="agent_3.json carries agent "
+                                             "label 2, expected 3"):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_missing_member(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[0]) as fp:
+            doc = json.load(fp)
+        del doc["critic"]
+        with open(paths[0], "w") as fp:
+            fp.write(json.dumps(doc))
+        with pytest.raises(ValueError, match="agent_1.json lacks critic"):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
 
 
 # ---------------------------------------------------------------------------

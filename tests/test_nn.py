@@ -148,6 +148,25 @@ class TestGradientsAgainstFiniteDifferences:
         with pytest.raises(ValueError, match="single input"):
             nn.input_jacobian(p, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5, 4)])
+    def test_stacked_jacobians_equal_per_input_calls(self, head, hidden):
+        # a local stream, so the shared one is left as other tests expect
+        rng = np.random.default_rng(len(hidden))
+        p = nn.init_params(9, hidden, 5, head, rng)
+        xs = rng.normal(size=(13, 9))
+        jacs = nn.input_jacobians(p, xs)
+        assert jacs.shape == (13, 5, 9)
+        for t in range(13):
+            assert jacs[t].tobytes() == nn.input_jacobian(p, xs[t]).tobytes()
+
+    def test_stacked_jacobians_reject_wrong_width(self):
+        p = nn.init_params(4, [3], 2, "linear", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="4-dim"):
+            nn.input_jacobians(p, np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="4-dim"):
+            nn.input_jacobians(p, np.zeros(4))
+
 
 class TestOptimizer:
     def test_sgd_step_by_hand(self):
