@@ -145,9 +145,8 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     return maddpg.TrainConfig.from_json_dict(doc)
 
 
-def _check_compatibility(
-        nets: list[maddpg.AgentNets] | list[maddpg.ActorCritic],
-        scenario: world.ScenarioConfig) -> None:
+def _check_compatibility(nets: list[maddpg.ActorCritic],
+                         scenario: world.ScenarioConfig) -> None:
     n = scenario.n_agents
     if len(nets) != n:
         raise IncompatibilityError(
@@ -162,9 +161,9 @@ def _check_compatibility(
                 f"agent {i + 1} actor expects {a.actor.in_dim}-dim input, "
                 f"scenario {scenario.scenario_id!r} observations are "
                 f"{want}-dim")
-        if a.critic.in_dim != joint:
+        if a.critic_in_dim != joint:
             raise IncompatibilityError(
-                f"agent {i + 1} critic expects {a.critic.in_dim}-dim input, "
+                f"agent {i + 1} critic expects {a.critic_in_dim}-dim input, "
                 f"scenario joint input is {joint}-dim")
 
 
@@ -235,8 +234,7 @@ def _write_manifest(run_dir: str, manifest: dict) -> None:
         json.dump(manifest, fp, indent=2)
 
 
-def _analyze_into(run_dir: str,
-                  nets: list[maddpg.AgentNets] | list[maddpg.ActorCritic],
+def _analyze_into(run_dir: str, nets: list[maddpg.ActorCritic],
                   scenario: world.ScenarioConfig, *, seed: int | None,
                   svg: bool, rollouts: int, min_segment_length: int,
                   checkpoint_ref: str | None) -> dict:
@@ -344,8 +342,10 @@ def _sweep_worker(payload: dict) -> dict:
         run_dir, result, manifest = _train_run(
             config, payload["out"], payload["run_id"],
             payload["checkpoint_every"], quiet=True)
+        pairs = [maddpg.ActorCritic(a.actor, a.critic.in_dim)
+                 for a in result.nets]
         summary = _analyze_into(
-            run_dir, result.nets, result.scenario, seed=config.seed,
+            run_dir, pairs, result.scenario, seed=config.seed,
             svg=payload["svg"], rollouts=1,
             min_segment_length=payload["min_segment_length"],
             checkpoint_ref=os.path.join("checkpoints", "final"))

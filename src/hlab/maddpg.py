@@ -220,6 +220,9 @@ def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
 
     epsilon > 0 requires an rng; with probability epsilon the executed action
     is uniform over the five choices, otherwise the argmax of the actor.
+    train and rollout act for the whole team through _team_actions instead;
+    this per-agent form is kept as the reference that _team_actions is
+    tested against.
     """
     probs = forward(actor, obs)
     if epsilon > 0.0:
@@ -629,13 +632,17 @@ def save_checkpoint(nets: Sequence[AgentNets], dirpath) -> list[str]:
 _CRITIC_KEYS = ("agent", "actor", "critic")
 _ALL_KEYS = _CRITIC_KEYS + ("target_actor", "target_critic")
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODE = json.JSONDecoder().raw_decode
+# the scanner still checks every token, but a float decodes to the length of
+# its text: no float object is built
+_SKIM = json.JSONDecoder(parse_float=len).raw_decode
 
 
 class ActorCritic(NamedTuple):
     """The part of a checkpointed agent that analysis reads."""
 
     actor: MlpParams
-    critic: MlpParams
+    critic_in_dim: int
 
 
 def _agent_files(dirpath) -> list[str]:
@@ -662,14 +669,16 @@ def _check_agent_doc(path: str, k: int, doc: dict,
         raise ValueError(f"{fname} lacks {', '.join(missing)}")
 
 
-def _leading_members(text: str, keys: Sequence[str]) -> dict:
+def _leading_members(text: str, keys: Sequence[str],
+                     exact: Sequence[str]) -> dict:
     """Top-level members of the JSON object in text, decoded in file order.
 
-    Stops as soon as every key in keys has been read, so what follows those
-    members is never parsed, nor checked. Without them all, it reads up to
-    the object's end.
+    Members named in exact are decoded in full. Every other member is
+    skimmed: its JSON is checked, but each float in it decodes to the length
+    of its text. Stops as soon as every key in keys has been read, so what
+    follows those members is never parsed, nor checked. Without them all, it
+    reads up to the object's end.
     """
-    decode = json.JSONDecoder().raw_decode
     skip = _JSON_SPACE.match
     doc: dict = {}
     pos = skip(text).end()
@@ -678,12 +687,13 @@ def _leading_members(text: str, keys: Sequence[str]) -> dict:
     pos = skip(text, pos + 1).end()
     end = text.startswith("}", pos)
     while not end and not all(key in doc for key in keys):
-        key, pos = decode(text, pos)
+        key, pos = _DECODE(text, pos)
         if not isinstance(key, str):
             raise json.JSONDecodeError("Expecting property name", text, pos)
         pos = skip(text, pos).end()
         if not text.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        decode = _DECODE if key in exact else _SKIM
         doc[key], pos = decode(text, skip(text, pos + 1).end())
         pos = skip(text, pos).end()
         end = text.startswith("}", pos)
@@ -693,22 +703,46 @@ def _leading_members(text: str, keys: Sequence[str]) -> dict:
     return doc
 
 
-def load_actor_critics(dirpath) -> list[ActorCritic]:
-    """Each agent's actor and critic, parsed without the target networks.
+def _skimmed_in_dim(net: dict, name: str) -> int:
+    """Input width of a skimmed network member, once its shape is checked.
 
-    save_checkpoint writes the targets after the critic, so they are never
-    parsed: about half of a file's numbers. A file in another valid JSON
-    layout or key order reads the same, though members written before the
-    critic are then parsed too. Damage inside the skipped members goes
-    unnoticed here; load_checkpoint still rejects it.
+    Each layer's weights must be a non-empty list of rows of one length, with
+    one bias per row. The numbers themselves are not checked.
+    """
+    layers = net["layers"]
+    if not layers:
+        raise ValueError(f"{name} has no layers")
+    for layer in layers:
+        w, b = layer["w"], layer["b"]
+        if not (isinstance(w, list) and w and isinstance(b, list)
+                and len(b) == len(w) and all(isinstance(r, list) for r in w)
+                and len(set(map(len, w))) == 1):
+            raise ValueError(f"{name} has a layer that is not a rectangular "
+                             f"weight matrix with one bias per row")
+    return len(layers[0]["w"][0])
+
+
+def load_actor_critics(dirpath) -> list[ActorCritic]:
+    """Each agent's actor, and its critic's input width.
+
+    Analysis runs the actors only. The critic is skimmed: its JSON and layer
+    shapes are checked and its input width is read, but none of its numbers
+    is converted. save_checkpoint writes the target networks after the
+    critic, so they are never parsed. A file in another valid JSON layout or
+    key order reads the same, though target networks written before agent,
+    actor and critic are then skimmed too. A wrong but well-formed number in
+    a critic or a target network goes unnoticed here; load_checkpoint
+    converts and checks every member.
     """
     out = []
     for k, path in enumerate(_agent_files(dirpath), start=1):
         with open(path) as fp:
-            doc = _leading_members(fp.read(), _CRITIC_KEYS)
+            doc = _leading_members(fp.read(), _CRITIC_KEYS,
+                                   exact=("agent", "actor"))
         _check_agent_doc(path, k, doc, _CRITIC_KEYS)
+        name = f"{os.path.basename(path)} critic"
         out.append(ActorCritic(MlpParams.from_json_dict(doc["actor"]),
-                               MlpParams.from_json_dict(doc["critic"])))
+                               _skimmed_in_dim(doc["critic"], name)))
     return out
 
 

@@ -690,8 +690,12 @@ def replay_trajectory(path, config: ScenarioConfig | None = None,
     state = reset(config)
     for row in log.steps:
         k = row["step"]
-        joint = np.eye(N_ACTIONS)[[row[f"action_{i+1}"]
-                                   for i in range(log.n_agents)]]
+        indices = [row[f"action_{i+1}"] for i in range(log.n_agents)]
+        for i, a in enumerate(indices):
+            if not 0 <= a < N_ACTIONS:
+                raise ValueError(f"step {k}: agent {i + 1} logged action {a}, "
+                                 f"not an index in 0..{N_ACTIONS - 1}")
+        joint = ACTION_ONE_HOTS[indices]
         outcome = step(state, joint, config)
         state = outcome.next_state
         logged_pos = np.array([[row[f"agent{i+1}_x"], row[f"agent{i+1}_y"]]

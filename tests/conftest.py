@@ -73,6 +73,7 @@ def rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> np.random.Generator:
+    """A fresh stream per test, so no test's draws depend on which ran first."""
     return np.random.default_rng(20240817)

@@ -216,6 +216,22 @@ class TestReplayCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "replay failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["7", "-1"])
+    def test_action_outside_range_exits_5(self, tmp_path, capsys, action):
+        run_dir = run_train(tmp_path)
+        cli.main(["analyze", "--checkpoint",
+                  str(run_dir / "checkpoints/final"), "--out", str(tmp_path),
+                  "--run-id", "an3"])
+        path = tmp_path / "an3" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        col = lines[1].split(",").index("action_1")
+        cells = lines[3].split(",")
+        cells[col] = action
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", str(path)]) == cli.EXIT_VALIDATION
+        assert f"agent 1 logged action {action}" in capsys.readouterr().err
+
     def test_foreign_csv_exits_5(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")

@@ -2,6 +2,7 @@
 differences through the full actor-critic chain."""
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -608,15 +609,29 @@ class TestRewardLogAndCheckpoints:
 
     @staticmethod
     def _same_actor_critics(got, nets):
+        """load_checkpoint: actors and critics, number for number."""
         assert len(got) == len(nets)
         for g, a in zip(got, nets):
             assert g.actor.head == "softmax" and g.critic.head == "linear"
             assert np.array_equal(g.actor.flatten(), a.actor.flatten())
             assert np.array_equal(g.critic.flatten(), a.critic.flatten())
 
+    @staticmethod
+    def _same_actors(got, nets):
+        """load_actor_critics: actors bit for bit, and each critic's width."""
+        assert len(got) == len(nets)
+        for g, a in zip(got, nets):
+            assert g.actor.head == "softmax"
+            assert len(g.actor.weights) == len(a.actor.weights)
+            for mine, theirs in zip(g.actor.weights + g.actor.biases,
+                                    a.actor.weights + a.actor.biases):
+                assert mine.shape == theirs.shape
+                assert mine.tobytes() == theirs.tobytes()
+            assert g.critic_in_dim == a.critic.in_dim
+
     def test_actor_critic_loader_matches_saved_nets(self, saved):
         nets, paths = saved
-        self._same_actor_critics(
+        self._same_actors(
             maddpg.load_actor_critics(os.path.dirname(paths[0])), nets)
 
     @pytest.mark.parametrize("layout", ["indent", "reordered"])
@@ -634,7 +649,7 @@ class TestRewardLogAndCheckpoints:
             with open(path, "w") as fp:
                 fp.write(text)
         ckpt = os.path.dirname(paths[0])
-        self._same_actor_critics(maddpg.load_actor_critics(ckpt), nets)
+        self._same_actors(maddpg.load_actor_critics(ckpt), nets)
         self._same_actor_critics(maddpg.load_checkpoint(ckpt), nets)
 
     def test_actor_critic_loader_skips_target_networks(self, saved):
@@ -647,9 +662,62 @@ class TestRewardLogAndCheckpoints:
         with open(paths[1], "w") as fp:
             fp.write(text[:cut])
         ckpt = os.path.dirname(paths[0])
-        self._same_actor_critics(maddpg.load_actor_critics(ckpt), nets)
+        self._same_actors(maddpg.load_actor_critics(ckpt), nets)
         with pytest.raises(ValueError):
             maddpg.load_checkpoint(ckpt)
+
+    def test_actor_critic_loader_ignores_critic_values(self, saved):
+        # the critic's numbers are checked as JSON but never converted, so
+        # other valid floats in their place load the same actors
+        nets, paths = saved
+        with open(paths[0]) as fp:
+            doc = json.load(fp)
+        for layer in doc["critic"]["layers"]:
+            layer["w"] = [[-1.5e300] * len(row) for row in layer["w"]]
+            layer["b"] = [0.25] * len(layer["b"])
+        with open(paths[0], "w") as fp:
+            fp.write(json.dumps(doc))
+        self._same_actors(
+            maddpg.load_actor_critics(os.path.dirname(paths[0])), nets)
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_malformed_critic_number(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[1]) as fp:
+            text = fp.read()
+        start = text.index('"critic"')
+        number = re.compile(r"-?\d+\.\d+(e-?\d+)?").search(text, start)
+        with open(paths[1], "w") as fp:
+            fp.write(text[:number.start()] + "1.2.3" + text[number.end():])
+        with pytest.raises(ValueError):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_critic_cut_mid_array(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[0]) as fp:
+            text = fp.read()
+        start = text.index('"critic"')
+        cut = (start + text.index('"target_actor"')) // 2
+        assert text[cut - 1] not in "}]"
+        with open(paths[0], "w") as fp:
+            fp.write(text[:cut])
+        with pytest.raises(ValueError):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+
+    @pytest.mark.parametrize("loader", ["load_checkpoint",
+                                        "load_actor_critics"])
+    def test_loaders_reject_ragged_critic(self, saved, loader):
+        _nets, paths = saved
+        with open(paths[2]) as fp:
+            doc = json.load(fp)
+        doc["critic"]["layers"][0]["w"][-1].append(0.5)
+        with open(paths[2], "w") as fp:
+            fp.write(json.dumps(doc))
+        with pytest.raises(ValueError):
+            getattr(maddpg, loader)(os.path.dirname(paths[0]))
 
     @pytest.mark.parametrize("loader", ["load_checkpoint",
                                         "load_actor_critics"])

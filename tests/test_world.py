@@ -418,6 +418,23 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError, match="scenario"):
             replay_trajectory(path, config=build_scenario("c"))
 
+    @pytest.mark.parametrize("action", [7, -1])
+    def test_replay_rejects_action_outside_range(self, tmp_path, action):
+        cfg = build_scenario("a")
+        states, actions, rewards = self._random_episode(cfg)
+        path = tmp_path / "traj.csv"
+        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        lines = path.read_text().splitlines()
+        # action_2 in the row for step 4 (line 6: comment + header)
+        col = lines[1].split(",").index("action_2")
+        row = lines[6].split(",")
+        row[col] = str(action)
+        lines[6] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"step 4: agent 2 logged "
+                                             f"action {action}, not an index"):
+            replay_trajectory(path)
+
     def test_reader_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
