@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -195,7 +195,11 @@ def build_scenario(scenario_id: str, **overrides) -> ScenarioConfig:
 
 @dataclass
 class WorldState:
-    """Kinematic snapshot of all movable bodies plus episode bookkeeping."""
+    """Kinematic snapshot of all movable bodies plus episode bookkeeping.
+
+    A state that `step` returns has read-only positions, since it carries
+    their pair geometry to the next step; `copy()` gives writable arrays.
+    """
 
     step_index: int
     agent_pos: np.ndarray  # (n, 2)
@@ -204,6 +208,8 @@ class WorldState:
     box_vel: np.ndarray  # (2,)
     done: bool = False
     done_reason: str | None = None  # "goal" | "timeout" | None
+    _pairs: "_PairGeometry | None" = field(default=None, repr=False,
+                                           compare=False)
 
     def copy(self) -> "WorldState":
         return WorldState(
@@ -358,39 +364,88 @@ def _is_one_hot(actions: np.ndarray) -> np.ndarray:
             & (actions.sum(axis=-1) == 1.0))
 
 
-def _stack_bodies(agent_pos: np.ndarray, box_pos: np.ndarray,
-                  config: ScenarioConfig) -> np.ndarray:
-    """Centers of all bodies, (n + 1 + n_obstacles, 2): agents, box, obstacles."""
-    flat = [c for p, _r in config.obstacles for c in p]
-    return np.concatenate((agent_pos.ravel(), box_pos, flat)).reshape(-1, 2)
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """A scenario's static geometry, built once per distinct geometry.
+
+    Bodies are stacked agents, box, obstacles; the first n + 1 move.
+    """
+
+    statics: np.ndarray  # (n_obstacles, 2) obstacle centres
+    radius_sums: np.ndarray  # (bodies, n + 1): radius of body j + movable k
+    target: np.ndarray  # (2,)
+    mass: np.ndarray  # (n + 1, 1): agents, then the box
 
 
-def _contact_distances(config: ScenarioConfig) -> np.ndarray:
-    """Radius sums of every (body j, movable body k) pair, (bodies, n + 1)."""
-    return _radius_sums(config.n_agents, config.agent_radius,
+def _geometry(config: ScenarioConfig) -> _Geometry:
+    """The cached `_Geometry` of config's geometry fields as they are now."""
+    return _geometry_of(config.n_agents, config.agent_radius,
                         config.box_radius,
-                        tuple(r for _p, r in config.obstacles))
+                        tuple((tuple(p), r) for p, r in config.obstacles),
+                        tuple(config.target[0]), config.agent_mass,
+                        config.box_mass)
 
 
 @functools.lru_cache(maxsize=64)
-def _radius_sums(n_agents: int, agent_radius: float, box_radius: float,
-                 obstacle_radii: tuple[float, ...]) -> np.ndarray:
+def _geometry_of(n_agents: int, agent_radius: float, box_radius: float,
+                 obstacles: tuple, target: tuple[float, float],
+                 agent_mass: float, box_mass: float) -> _Geometry:
     radii = np.array([agent_radius] * n_agents + [box_radius]
-                     + list(obstacle_radii), dtype=float)
-    sums = radii[:, None] + radii[:n_agents + 1]
-    sums.setflags(write=False)
-    return sums
+                     + [r for _p, r in obstacles], dtype=float)
+    geo = _Geometry(
+        statics=np.array([p for p, _r in obstacles],
+                         dtype=float).reshape(-1, 2),
+        radius_sums=radii[:, None] + radii[:n_agents + 1],
+        target=np.array(target, dtype=float),
+        mass=np.array([[agent_mass]] * n_agents + [[box_mass]], dtype=float),
+    )
+    for arr in (geo.statics, geo.radius_sums, geo.target, geo.mass):
+        arr.setflags(write=False)
+    return geo
 
 
-def _pair_deltas(bodies: np.ndarray, n_movable: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """delta[j, k] = body k - body j for the movable bodies k, and its length."""
-    delta = bodies[:n_movable] - bodies[:, None]
-    return delta, np.hypot(delta[..., 0], delta[..., 1])
+@dataclass(frozen=True, eq=False)
+class _PairGeometry:
+    """Pair geometry of one set of positions, carried to the next step.
+
+    It is valid for a state only while the state's agent_pos and box_pos
+    are the very arrays below and its scenario has the same `_Geometry`.
+    """
+
+    geo: _Geometry
+    pos: np.ndarray  # (n + 1, 2): agents, then the box
+    agent_pos: np.ndarray  # view pos[:n]
+    box_pos: np.ndarray  # view pos[n]
+    delta: np.ndarray  # (bodies, n + 1, 2): movable body k - body j
+    dist: np.ndarray  # (bodies, n + 1): length of delta
+    box_target: float  # box-target distance
 
 
-def _body_forces(bodies: np.ndarray, contact_dist: np.ndarray,
-                 config: ScenarioConfig) -> np.ndarray:
+def _box_target_dist(box_pos: np.ndarray, target: np.ndarray) -> float:
+    d = box_pos - target
+    return float(np.hypot(d[0], d[1]))
+
+
+def _pair_geometry(pos: np.ndarray, geo: _Geometry) -> _PairGeometry:
+    n = pos.shape[0] - 1
+    delta = pos - np.concatenate((pos, geo.statics))[:, None]
+    return _PairGeometry(geo, pos, pos[:n], pos[n], delta,
+                         np.hypot(delta[..., 0], delta[..., 1]),
+                         _box_target_dist(pos[n], geo.target))
+
+
+def _state_pairs(state: WorldState, geo: _Geometry) -> _PairGeometry:
+    """The state's carried pair geometry if still valid, else a fresh pass."""
+    pairs = state._pairs
+    if (pairs is not None and pairs.geo is geo
+            and state.agent_pos is pairs.agent_pos
+            and state.box_pos is pairs.box_pos):
+        return pairs
+    return _pair_geometry(np.concatenate((state.agent_pos,
+                                          state.box_pos[None])), geo)
+
+
+def _body_forces(pairs: _PairGeometry, config: ScenarioConfig) -> np.ndarray:
     """Contact forces on the movable bodies (n + 1, 2): agents, then the box.
 
     Each pair gets a soft repulsion along its center line, ~linear in the
@@ -399,26 +454,25 @@ def _body_forces(bodies: np.ndarray, contact_dist: np.ndarray,
     byte-identical rerun contract. The self pair adds an exact +0: its delta
     is zero.
     """
-    delta, dist = _pair_deltas(bodies, contact_dist.shape[1])
+    dist = pairs.dist
     margin = config.contact_margin
-    penetration = margin * np.logaddexp(0.0, (contact_dist - dist) / margin)
-    direction = delta / np.maximum(dist, 1e-9)[..., None]
+    penetration = margin * np.logaddexp(
+        0.0, (pairs.geo.radius_sums - dist) / margin)
+    direction = pairs.delta / np.maximum(dist, 1e-9)[..., None]
     pair = (config.stiffness * penetration)[..., None] * direction
     return np.add.reduce(pair, axis=0, initial=0.0)
 
 
-def _detect_contacts(state: WorldState, contact_dist: np.ndarray,
-                     out_of_bounds: np.ndarray,
-                     config: ScenarioConfig) -> ContactReport:
-    n = config.n_agents
-    bodies = _stack_bodies(state.agent_pos, state.box_pos, config)
-    _delta, dist = _pair_deltas(bodies, n + 1)
-    overlap = dist < contact_dist
+def _detect_contacts(pairs: _PairGeometry, vel: np.ndarray,
+                     out_of_bounds: np.ndarray) -> ContactReport:
+    """Contacts at the positions of `pairs`, under the velocities `vel`."""
+    n = pairs.pos.shape[0] - 1
+    overlap = pairs.dist < pairs.geo.radius_sums
     pushes = np.zeros(n, dtype=bool)
     for i in overlap[n, :n].nonzero()[0]:
-        # np.dot, as a product sum rounds differently and can flip the sign
-        delta = state.box_pos - state.agent_pos[i]
-        pushes[i] = float(np.dot(state.agent_vel[i], delta)) > 0.0
+        # np.dot of velocity and box - agent, as a product sum rounds
+        # differently and can flip the sign
+        pushes[i] = float(np.dot(vel[i], pairs.delta[i, n])) > 0.0
     return ContactReport(
         pushes=pushes,
         # every agent overlaps itself, so a collision is a second overlap
@@ -426,11 +480,6 @@ def _detect_contacts(state: WorldState, contact_dist: np.ndarray,
         box_obstacle_collision=bool(overlap[n + 1:, n].any()),
         out_of_bounds=out_of_bounds,
     )
-
-
-def _box_target_dist(box_pos: np.ndarray, config: ScenarioConfig) -> float:
-    (tx, ty), _r = config.target
-    return float(np.hypot(box_pos[0] - tx, box_pos[1] - ty))
 
 
 def reward_components(prev_state: WorldState, state: WorldState,
@@ -443,26 +492,34 @@ def reward_components(prev_state: WorldState, state: WorldState,
     box-obstacle collision penalizes everyone. Each term fires at most once
     per agent per step.
     """
-    d_now = _box_target_dist(state.box_pos, config)
-    return _reward_terms(_box_target_dist(prev_state.box_pos, config), d_now,
-                         d_now < config.goal_distance, contacts,
-                         config.n_agents)
+    target = _geometry(config).target
+    d_now = _box_target_dist(state.box_pos, target)
+    return RewardBreakdown(*_reward_terms(
+        _box_target_dist(prev_state.box_pos, target), d_now,
+        d_now < config.goal_distance, contacts, config.n_agents))
 
 
 def _reward_terms(d_prev: float, d_now: float, goal: bool,
-                  contacts: ContactReport, n: int) -> RewardBreakdown:
-    r_dis = np.full(n, (d_prev - d_now) * 50.0)
-    r_push = np.where(contacts.pushes, 50.0, 0.0)
-    r_goal = np.full(n, 1000.0 if goal else 0.0)
+                  contacts: ContactReport, n: int) -> np.ndarray:
+    """The five terms as rows of a (5, n) array, in RewardBreakdown order."""
+    terms = np.empty((5, n))
+    terms[0] = (d_prev - d_now) * 50.0
+    terms[1] = np.where(contacts.pushes, 50.0, 0.0)
+    terms[2] = 1000.0 if goal else 0.0
     collided = contacts.agent_collisions | contacts.box_obstacle_collision
-    r_col = np.where(collided, -50.0, 0.0)
-    r_bound = np.where(contacts.out_of_bounds, -50.0, 0.0)
-    return RewardBreakdown(r_dis, r_push, r_goal, r_col, r_bound)
+    terms[3] = np.where(collided, -50.0, 0.0)
+    terms[4] = np.where(contacts.out_of_bounds, -50.0, 0.0)
+    return terms
 
 
 def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray,
          config: ScenarioConfig) -> StepOutcome:
-    """Advance one time step under a joint one-hot action."""
+    """Advance one time step under a joint one-hot action.
+
+    Agents and box move as one (n + 1, 2) stack. The next state carries the
+    pair geometry of its positions, which serves as its contacts here and
+    as the force geometry of the step after it.
+    """
     if state.done:
         raise RuntimeError("cannot step a finished episode; call reset first")
     n = config.n_agents
@@ -476,36 +533,32 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
     if not valid.all():
         decode_action(actions[np.argmin(valid)])  # raises for that row
 
-    contact_dist = _contact_distances(config)
-    forces = _body_forces(_stack_bodies(state.agent_pos, state.box_pos, config),
-                          contact_dist, config)
-    f_agents = forces[:n] + config.force * ACTION_DIRECTIONS[indices]
-    f_box = forces[n]
+    geo = _geometry(config)
+    now = _state_pairs(state, geo)
+    forces = _body_forces(now, config)
+    forces[:n] += config.force * ACTION_DIRECTIONS[indices]
 
-    agent_vel = state.agent_vel * (1.0 - config.damping) \
-        + (f_agents / config.agent_mass) * config.dt
-    box_vel = state.box_vel * (1.0 - config.damping) \
-        + (f_box / config.box_mass) * config.dt
-    agent_pos = state.agent_pos + agent_vel * config.dt
-    box_pos = state.box_pos + box_vel * config.dt
+    vel = np.concatenate((state.agent_vel, state.box_vel[None])) \
+        * (1.0 - config.damping) + (forces / geo.mass) * config.dt
+    pos = now.pos + vel * config.dt
+    pos.setflags(write=False)
+    nxt = _pair_geometry(pos, geo)
 
     # the boundary is soft: bodies may leave the arena square, agents that
     # do are penalized through r_bound each step they stay outside
-    out_of_bounds = (np.abs(agent_pos) > config.world_bound).any(axis=1)
+    out_of_bounds = (np.abs(nxt.agent_pos) > config.world_bound).any(axis=1)
 
     next_state = WorldState(
         step_index=state.step_index + 1,
-        agent_pos=agent_pos,
-        agent_vel=agent_vel,
-        box_pos=box_pos,
-        box_vel=box_vel,
+        agent_pos=nxt.agent_pos,
+        agent_vel=vel[:n],
+        box_pos=nxt.box_pos,
+        box_vel=vel[n],
+        _pairs=nxt,
     )
-    contacts = _detect_contacts(next_state, contact_dist, out_of_bounds,
-                                config)
-    d_now = _box_target_dist(box_pos, config)
-    goal = d_now < config.goal_distance
-    breakdown = _reward_terms(_box_target_dist(state.box_pos, config), d_now,
-                              goal, contacts, n)
+    contacts = _detect_contacts(nxt, vel, out_of_bounds)
+    goal = nxt.box_target < config.goal_distance
+    terms = _reward_terms(now.box_target, nxt.box_target, goal, contacts, n)
 
     if goal:
         next_state.done = True
@@ -516,8 +569,8 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
 
     return StepOutcome(
         next_state=next_state,
-        rewards=breakdown.totals(),
-        breakdown=breakdown,
+        rewards=np.add.reduce(terms, axis=0),
+        breakdown=RewardBreakdown(*terms),
         contacts=contacts,
         done=next_state.done,
     )
@@ -576,9 +629,10 @@ def _team_gather(n_agents: int,
 def _observation_source(state: WorldState,
                         config: ScenarioConfig) -> np.ndarray:
     """The flat vector that `_observation_gather` indexes into."""
-    statics = [c for p, _r in config.obstacles for c in p]
+    geo = _geometry(config)
     return np.concatenate((state.agent_pos.ravel(), state.agent_vel.ravel(),
-                           state.box_pos, statics, config.target[0], (0.0,)))
+                           state.box_pos, geo.statics.ravel(), geo.target,
+                           (0.0,)))
 
 
 def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.ndarray:
@@ -647,25 +701,69 @@ class TrajectoryLog:
 
 
 def read_trajectory_csv(path) -> TrajectoryLog:
+    """Parse a trajectory log and check that it is well formed.
+
+    Raises ValueError naming the header field or the step at fault: a
+    header without scenario= or agents=, columns off the schema, a row of
+    the wrong length or with a cell that does not parse, row k not labelled
+    step k, a done flag other than 0 or 1, a row after the episode's end,
+    or an action outside 0..4; also a line the csv module cannot read.
+    """
     with open(path, newline="") as fp:
         first = fp.readline()
         if not first.startswith(f"# {TRAJECTORY_MAGIC}"):
             raise ValueError("not an hlab trajectory file (missing header comment)")
-        meta = dict(tok.split("=", 1) for tok in first.strip().split()[3:])
-        scenario_id = meta["scenario"]
-        n = int(meta["agents"])
-        reader = csv.DictReader(fp)
-        expected = trajectory_columns(n)
-        if reader.fieldnames != expected:
-            raise ValueError(f"trajectory columns {reader.fieldnames} do not match "
-                             f"the schema for {n} agents")
-        steps = []
-        for raw in reader:
-            row = {key: (int(raw[key]) if key == "step" or key == "done"
-                         or key.startswith("action_") else float(raw[key]))
-                   for key in expected}
-            steps.append(row)
-    return TrajectoryLog(scenario_id=scenario_id, n_agents=n, steps=steps)
+        meta = dict(tok.partition("=")[::2] for tok in first.split()[3:])
+        for key in ("scenario", "agents"):
+            if key not in meta:
+                raise ValueError(f"trajectory header has no {key}= field")
+        try:
+            n = int(meta["agents"])
+        except ValueError:
+            raise ValueError(f"trajectory header field agents={meta['agents']!r}"
+                             f" is not an integer") from None
+        reader = csv.reader(fp)
+        try:
+            header, *rows = list(reader) or [None]
+        except csv.Error as exc:
+            raise ValueError(f"trajectory line {reader.line_num + 1}: "
+                             f"{exc}") from None
+    expected = trajectory_columns(n)
+    if header != expected:
+        raise ValueError(f"trajectory columns {header} do not match "
+                         f"the schema for {n} agents")
+    parsers = [int if key == "step" or key == "done"
+               or key.startswith("action_") else float for key in expected]
+    steps: list[dict] = []
+    for raw in rows:
+        if not raw:
+            continue  # a blank line
+        k = len(steps)
+        if len(raw) != len(expected):
+            raise ValueError(f"step {k}: row has {len(raw)} fields, "
+                             f"expected {len(expected)}")
+        row = {}
+        for key, parse, cell in zip(expected, parsers, raw):
+            try:
+                row[key] = parse(cell)
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(f"step {k}: {key} = {cell!r} is not "
+                                 f"{kind}") from None
+        if row["step"] != k:
+            raise ValueError(f"step {k}: row is labelled step {row['step']}")
+        if steps and steps[-1]["done"]:
+            raise ValueError(f"step {k}: row follows the episode's end "
+                             f"at step {k - 1}")
+        if row["done"] not in (0, 1):
+            raise ValueError(f"step {k}: done = {row['done']}, not 0 or 1")
+        for i in range(1, n + 1):
+            a = row[f"action_{i}"]
+            if not 0 <= a < N_ACTIONS:
+                raise ValueError(f"step {k}: agent {i} logged action {a}, "
+                                 f"not an index in 0..{N_ACTIONS - 1}")
+        steps.append(row)
+    return TrajectoryLog(scenario_id=meta["scenario"], n_agents=n, steps=steps)
 
 
 @dataclass
@@ -677,7 +775,14 @@ class ReplayResult:
 
 def replay_trajectory(path, config: ScenarioConfig | None = None,
                       tol: float = 1e-9) -> ReplayResult:
-    """Re-simulate a logged trajectory and verify positions/rewards match."""
+    """Re-simulate a logged trajectory and verify positions/rewards match.
+
+    The whole log is validated first (see read_trajectory_csv), then
+    re-simulated, then compared at every step at once. The result names the
+    first step that differs, checking agent positions, agent velocities, box
+    position, rewards and the done flag in that order; an error that is not
+    <= tol, NaN included, differs.
+    """
     log = read_trajectory_csv(path)
     if config is None:
         config = build_scenario(log.scenario_id)
@@ -687,33 +792,43 @@ def replay_trajectory(path, config: ScenarioConfig | None = None,
     if config.n_agents != log.n_agents:
         raise ValueError(f"log has {log.n_agents} agents, scenario has "
                          f"{config.n_agents}")
+    if not log.steps:
+        return ReplayResult(True)
+    n = log.n_agents
+    # columns per trajectory_columns: step, n x (x, y, vx, vy), box x/y,
+    # n rewards, done, n actions
+    table = np.array([list(row.values()) for row in log.steps], dtype=float)
+    agents = table[:, 1:1 + 4 * n].reshape(-1, n, 4)
+    box = table[:, 1 + 4 * n:3 + 4 * n]
+    rewards = table[:, 3 + 4 * n:3 + 5 * n]
+    done = table[:, 3 + 5 * n] == 1.0
+
     state = reset(config)
-    for row in log.steps:
-        k = row["step"]
-        indices = [row[f"action_{i+1}"] for i in range(log.n_agents)]
-        for i, a in enumerate(indices):
-            if not 0 <= a < N_ACTIONS:
-                raise ValueError(f"step {k}: agent {i + 1} logged action {a}, "
-                                 f"not an index in 0..{N_ACTIONS - 1}")
-        joint = ACTION_ONE_HOTS[indices]
+    states, got_rewards = [], []
+    for joint in ACTION_ONE_HOTS[table[:, 4 + 5 * n:].astype(np.intp)]:
         outcome = step(state, joint, config)
         state = outcome.next_state
-        logged_pos = np.array([[row[f"agent{i+1}_x"], row[f"agent{i+1}_y"]]
-                               for i in range(log.n_agents)])
-        logged_vel = np.array([[row[f"agent{i+1}_vx"], row[f"agent{i+1}_vy"]]
-                               for i in range(log.n_agents)])
-        logged_box = np.array([row["box_x"], row["box_y"]])
-        logged_rew = np.array([row[f"reward_{i+1}"] for i in range(log.n_agents)])
-        checks = [
-            ("agent positions", np.max(np.abs(state.agent_pos - logged_pos))),
-            ("agent velocities", np.max(np.abs(state.agent_vel - logged_vel))),
-            ("box position", np.max(np.abs(state.box_pos - logged_box))),
-            ("rewards", np.max(np.abs(outcome.rewards - logged_rew))),
-        ]
-        for label, err in checks:
-            if not err <= tol:
-                return ReplayResult(False, k,
-                                    f"{label} diverge at step {k} (|err|={err:.3e})")
-        if bool(row["done"]) != state.done:
-            return ReplayResult(False, k, f"done flag diverges at step {k}")
-    return ReplayResult(True)
+        states.append(state)
+        got_rewards.append(outcome.rewards)
+        if state.done:
+            break  # a longer log has done = 0 here, which fails below
+    t = len(states)
+    errors = np.stack([
+        np.abs(np.stack([s.agent_pos for s in states])
+               - agents[:t, :, :2]).max(axis=(1, 2)),
+        np.abs(np.stack([s.agent_vel for s in states])
+               - agents[:t, :, 2:]).max(axis=(1, 2)),
+        np.abs(np.stack([s.box_pos for s in states]) - box[:t]).max(axis=1),
+        np.abs(np.stack(got_rewards) - rewards[:t]).max(axis=1),
+    ])
+    failed = ~(errors <= tol)
+    bad = failed.any(axis=0) | (np.array([s.done for s in states]) != done[:t])
+    if not bad.any():
+        return ReplayResult(True)
+    k = int(bad.argmax())
+    labels = ("agent positions", "agent velocities", "box position", "rewards")
+    for label, err, wrong in zip(labels, errors[:, k], failed[:, k]):
+        if wrong:
+            return ReplayResult(False, k,
+                                f"{label} diverge at step {k} (|err|={err:.3e})")
+    return ReplayResult(False, k, f"done flag diverges at step {k}")

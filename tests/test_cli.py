@@ -232,6 +232,50 @@ class TestReplayCommand:
         assert cli.main(["replay", str(path)]) == cli.EXIT_VALIDATION
         assert f"agent 1 logged action {action}" in capsys.readouterr().err
 
+    @staticmethod
+    def _after_end(lines):
+        # one more row after the greedy episode's done=1 row
+        lines.append(",".join([str(len(lines) - 2)]
+                              + lines[-1].split(",")[1:]))
+        return f"step {len(lines) - 3}: row follows the episode's end"
+
+    @staticmethod
+    def _no_scenario(lines):
+        lines[0] = lines[0].replace(" scenario=a", "")
+        return "trajectory header has no scenario= field"
+
+    @staticmethod
+    def _short_row(lines):
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        return "step 1: row has 21 fields, expected 22"
+
+    @staticmethod
+    def _relabelled(lines):
+        lines[4] = "99," + lines[4].split(",", 1)[1]
+        return "step 2: row is labelled step 99"
+
+    @staticmethod
+    def _huge_field(lines):
+        lines[3] = "1" * 200_000 + lines[3][lines[3].index(","):]
+        return "trajectory line 4: field larger than field limit"
+
+    @pytest.mark.parametrize("edit", ["_after_end", "_no_scenario",
+                                      "_short_row", "_relabelled",
+                                      "_huge_field"])
+    def test_malformed_log_exits_5(self, tmp_path, capsys, edit):
+        run_dir = run_train(tmp_path)
+        cli.main(["analyze", "--checkpoint",
+                  str(run_dir / "checkpoints/final"), "--out", str(tmp_path),
+                  "--run-id", "an4"])
+        path = tmp_path / "an4" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        assert lines[-1].split(",")[-4] == "1"  # the log ends the episode
+        message = getattr(self, edit)(lines)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["replay", str(path)]) == cli.EXIT_VALIDATION
+        assert f"replay failed: {message}" in capsys.readouterr().err
+
     def test_foreign_csv_exits_5(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")

@@ -383,13 +383,14 @@ class TestTrajectoryIO:
             rewards.append(out.rewards)
         return states, np.array(actions), np.array(rewards)
 
-    def test_round_trip_and_replay(self, tmp_path):
-        cfg = build_scenario("a")
+    @pytest.mark.parametrize("scenario_id", world.SCENARIO_IDS)
+    def test_round_trip_and_replay(self, tmp_path, scenario_id):
+        cfg = build_scenario(scenario_id)
         states, actions, rewards = self._random_episode(cfg)
         path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        world.write_trajectory_csv(path, scenario_id, states, actions, rewards)
         log = world.read_trajectory_csv(path)
-        assert log.scenario_id == "a"
+        assert log.scenario_id == scenario_id
         assert log.n_agents == 3
         assert len(log.steps) == len(actions)
         result = replay_trajectory(path)
@@ -435,11 +436,137 @@ class TestTrajectoryIO:
                                              f"action {action}, not an index"):
             replay_trajectory(path)
 
+    def _logged_lines(self, tmp_path, steps=12):
+        cfg = build_scenario("a")
+        states, actions, rewards = self._random_episode(cfg, steps=steps)
+        path = tmp_path / "traj.csv"
+        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        return path, path.read_text().splitlines()
+
+    def test_replay_fails_on_nan_cell(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path)
+        row = lines[6].split(",")  # step 4 (line 6: comment + header)
+        row[1] = "nan"
+        lines[6] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        result = replay_trajectory(path)
+        assert not result.ok
+        assert result.first_bad_step == 4
+        assert result.message == "agent positions diverge at step 4 (|err|=nan)"
+
+    def test_replay_rejects_row_after_episode_end(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path, steps=60)
+        assert lines[-1].split(",")[-4] == "1"  # the episode ended
+        t = len(lines) - 2
+        lines.append(",".join([str(t)] + lines[-1].split(",")[1:]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"step {t}: row follows the "
+                                             f"episode's end at step {t - 1}"):
+            replay_trajectory(path)
+
+    def test_reader_rejects_header_without_scenario(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path)
+        lines[0] = f"# {world.TRAJECTORY_MAGIC} agents=3"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="header has no scenario= field"):
+            replay_trajectory(path)
+
+    def test_reader_rejects_short_row(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path)
+        lines[6] = lines[6].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="step 4: row has 21 fields, "
+                                             "expected 22"):
+            replay_trajectory(path)
+
+    def test_reader_rejects_relabelled_step(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path)
+        lines[6] = "99," + lines[6].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="step 4: row is labelled step 99"):
+            replay_trajectory(path)
+
+    def test_reader_rejects_line_csv_cannot_read(self, tmp_path):
+        path, lines = self._logged_lines(tmp_path)
+        lines[6] = '"' + "1" * 200_000 + '"' + lines[6][lines[6].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="trajectory line 7: field larger"):
+            replay_trajectory(path)
+
     def test_reader_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="trajectory"):
             world.read_trajectory_csv(path)
+
+
+def _assert_outcomes_equal(got, want):
+    for name in ("agent_pos", "agent_vel", "box_pos", "box_vel"):
+        _assert_bits_equal(getattr(got.next_state, name),
+                           getattr(want.next_state, name), name)
+    _assert_bits_equal(got.rewards, want.rewards, "rewards")
+    for name in ("pushes", "agent_collisions", "out_of_bounds"):
+        assert np.array_equal(getattr(got.contacts, name),
+                              getattr(want.contacts, name)), name
+    assert got.contacts.box_obstacle_collision \
+        == want.contacts.box_obstacle_collision
+
+
+class TestCarriedGeometry:
+    """A stepped state carries its pair geometry; it must never go stale."""
+
+    def _stepped(self, cfg, steps=6):
+        s = reset(cfg)
+        for k in range(steps):
+            s = step(s, np.eye(5)[[3, k % 5, 2]], cfg).next_state
+        return s
+
+    @staticmethod
+    def _fresh(s):
+        return WorldState(s.step_index, s.agent_pos.copy(),
+                          s.agent_vel.copy(), s.box_pos.copy(),
+                          s.box_vel.copy())
+
+    @pytest.mark.parametrize("reassign", ["agent_pos", "box_pos", "both"])
+    def test_reassigned_positions_step_like_a_fresh_state(self, reassign):
+        cfg = build_scenario("c")
+        s = self._stepped(cfg)
+        joint = np.eye(5)[[3, 3, 0]]
+        # put agent 1 onto the box and the box against the obstacle, so
+        # stale pair geometry would show in forces and contacts
+        if reassign in ("agent_pos", "both"):
+            s.agent_pos = np.array(s.agent_pos)
+            s.agent_pos[1] = s.box_pos + [0.1, 0.0]
+        if reassign in ("box_pos", "both"):
+            s.box_pos = np.array([0.0, -0.27])
+        _assert_outcomes_equal(step(s, joint, cfg),
+                               step(self._fresh(s), joint, cfg))
+
+    def test_stepping_under_another_geometry_is_fresh(self):
+        a, c = build_scenario("a"), build_scenario("c")
+        s = self._stepped(a)
+        joint = np.eye(5)[[3, 3, 3]]
+        _assert_outcomes_equal(step(s, joint, c),
+                               step(self._fresh(s), joint, c))
+
+    def test_stepped_positions_are_read_only(self):
+        s = self._stepped(build_scenario("a"))
+        with pytest.raises(ValueError, match="read-only"):
+            s.agent_pos[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.box_pos[1] = 0.0
+
+    def test_copy_is_writable_and_steps_alike(self):
+        cfg = build_scenario("a")
+        s = self._stepped(cfg)
+        joint = np.eye(5)[[1, 2, 4]]
+        c = s.copy()
+        _assert_outcomes_equal(step(c, joint, cfg), step(s, joint, cfg))
+        c.agent_pos[0] = [0.4, 0.4]
+        c.box_pos[:] = [0.1, 0.2]
+        moved = WorldState(s.step_index, np.array(c.agent_pos), s.agent_vel,
+                           np.array([0.1, 0.2]), s.box_vel)
+        _assert_outcomes_equal(step(c, joint, cfg), step(moved, joint, cfg))
 
 
 class TestRewardProperties:
