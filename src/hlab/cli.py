@@ -127,11 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     doc = maddpg.TrainConfig().to_json_dict()
     if getattr(args, "config", None):
         with open(args.config) as fp:
-            file_doc = json.load(fp)
-        unknown = set(file_doc) - set(doc)
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        doc.update(file_doc)
+            doc.update(json.load(fp))
     if args.scenario is not None:
         doc["scenario_id"] = args.scenario
     if getattr(args, "seed", None) is not None:
@@ -303,7 +299,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     nets = maddpg.load_actor_critics(args.checkpoint)
-    scenario = world.build_scenario(args.scenario or "a")
+    scenario = world.build_scenario(args.scenario)
     run_id = args.run_id or f"analyze-{scenario.scenario_id}"
     run_dir = os.path.join(args.out, run_id)
     started = _now()

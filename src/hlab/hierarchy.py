@@ -149,6 +149,18 @@ def identify_hierarchy(dependencies: np.ndarray,
                          tie=at_top.size > 1)
 
 
+def _leaders_and_ties(deps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step identify_hierarchy of a (T, n) D array: leader (agent 0 for
+    a flat team) and tie flag."""
+    leaders = np.zeros(deps.shape[0], dtype=np.int64)
+    ties = np.zeros(deps.shape[0], dtype=bool)
+    for t, d in enumerate(deps):
+        call = identify_hierarchy(d)
+        leaders[t] = 0 if call.leader is None else call.leader
+        ties[t] = call.tie
+    return leaders, ties
+
+
 @dataclass
 class DependencyTrace:
     """Per-step sensitivities and dependency values of one rollout."""
@@ -156,7 +168,7 @@ class DependencyTrace:
     scenario_id: str
     dependencies: np.ndarray  # (T, n)
     sensitivities: np.ndarray  # (T, n, n)
-    leaders: np.ndarray  # (T,) per-step argmax (lowest index on ties)
+    leaders: np.ndarray  # (T,) identify_hierarchy's leader, 0 if flat
     ties: np.ndarray  # (T,) bool
     seed: int | None = None
     checkpoint: str | None = None
@@ -200,13 +212,9 @@ def analyze_rollout(trajectory: Trajectory,
             for j, block in blocks:
                 sens[t, i, j] = _block_norm(jacs[t], block, ord)
     deps = np.zeros((t_steps, n))
-    leaders = np.zeros(t_steps, dtype=np.int64)
-    ties = np.zeros(t_steps, dtype=bool)
     for t in range(t_steps):
         deps[t] = dependency_values(sens[t])
-        call = identify_hierarchy(deps[t])
-        leaders[t] = 0 if call.leader is None else call.leader
-        ties[t] = call.tie
+    leaders, ties = _leaders_and_ties(deps)
     return DependencyTrace(
         scenario_id=scenario.scenario_id,
         dependencies=deps,
@@ -352,17 +360,12 @@ def read_trace_csv(path) -> DependencyTrace:
                         m[i, j] = float(raw[f"grad_{i + 1}_{j + 1}"])
             sens.append(m)
     deps_arr = np.array(deps).reshape(-1, n)
-    leaders = (np.argmax(deps_arr, axis=1) if deps_arr.size
-               else np.zeros(0, dtype=np.int64))
-    ties = np.zeros(deps_arr.shape[0], dtype=bool)
-    for t in range(deps_arr.shape[0]):
-        call = identify_hierarchy(deps_arr[t])
-        ties[t] = call.tie
+    leaders, ties = _leaders_and_ties(deps_arr)
     return DependencyTrace(
         scenario_id="?",
         dependencies=deps_arr,
         sensitivities=(np.stack(sens) if sens else np.zeros((0, n, n))),
-        leaders=leaders.astype(np.int64),
+        leaders=leaders,
         ties=ties,
     )
 

@@ -22,7 +22,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,11 +208,6 @@ def _joint_input(obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.hstack([obs.reshape(m, -1), actions.reshape(m, -1)])
 
 
-def _one_hots(indices: np.ndarray) -> np.ndarray:
-    """Executed action indices, (...), -> one-hot vectors, (..., 5)."""
-    return ACTION_ONE_HOTS[indices]
-
-
 def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
                   rng: np.random.Generator | None = None
                   ) -> tuple[int, np.ndarray]:
@@ -265,14 +260,12 @@ def _team_forward(actors: Sequence[MlpParams]
 
 def _team_actions(policy: Callable[[np.ndarray], np.ndarray],
                   obs: np.ndarray, epsilon: float,
-                  rng: np.random.Generator | None, need_probs: bool
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """select_action for every agent in index order, in one pass.
+                  rng: np.random.Generator | None) -> np.ndarray:
+    """select_action's index for every agent in index order, in one pass.
 
     policy is a _team_forward. Draws the same random numbers in the same
     order as one select_action call per agent and picks the same indices.
-    The actors run only if some agent acts greedily or need_probs is set;
-    otherwise the probs are None.
+    The actors run only if some agent acts greedily.
     """
     draws: list[int | None] = [None] * obs.shape[0]
     if epsilon > 0.0:
@@ -280,12 +273,32 @@ def _team_actions(policy: Callable[[np.ndarray], np.ndarray],
             raise ValueError("exploration requires an rng")
         draws = [int(rng.integers(N_ACTIONS)) if rng.random() < epsilon
                  else None for _ in draws]
-    probs = None
-    if need_probs or None in draws:
-        probs = policy(obs)
-        greedy = probs.argmax(axis=1).tolist()
+    if None in draws:
+        greedy = policy(obs).argmax(axis=1).tolist()
         draws = [g if d is None else d for g, d in zip(greedy, draws)]
-    return np.array(draws, dtype=np.int64), probs
+    return np.array(draws, dtype=np.int64)
+
+
+def _play(state: WorldState, scenario: ScenarioConfig,
+          act: Callable[[np.ndarray], np.ndarray]
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, world.StepOutcome,
+                              np.ndarray]]:
+    """Play one episode from state, the team acting through act.
+
+    act maps the team's observations (n, obs_dim) to action indices (n,).
+    Yields (obs, indices, outcome, next_obs) for every step, next_obs being
+    the observations of outcome.next_state. act is called for a step only
+    once the caller has taken the step before it, so a caller that changes
+    what act reads acts differently from the next step on.
+    """
+    obs = world.observe_all(state, scenario)
+    while not state.done:
+        indices = act(obs)
+        outcome = world.step(state, ACTION_ONE_HOTS[indices], scenario)
+        state = outcome.next_state
+        next_obs = world.observe_all(state, scenario)
+        yield obs, indices, outcome, next_obs
+        obs = next_obs
 
 
 def td_target(rewards_i: np.ndarray, terminal: np.ndarray, q_next: np.ndarray,
@@ -309,7 +322,7 @@ def critic_update(agent: int, nets: list[AgentNets], batch: Batch,
     x_next = _joint_input(batch.next_obs, next_probs)
     q_next = forward(nets[agent].target_critic, x_next)[:, 0]
     y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
-    x = _joint_input(batch.obs, _one_hots(batch.action_indices))
+    x = _joint_input(batch.obs, ACTION_ONE_HOTS[batch.action_indices])
     cache = forward(nets[agent].critic, x, return_cache=True)
     err = cache[0][:, 0] - y
     loss = float(np.mean(err ** 2))
@@ -338,7 +351,7 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     n = len(nets)
     actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
-    actions = _one_hots(batch.action_indices)
+    actions = ACTION_ONE_HOTS[batch.action_indices]
     actions[:, agent] = forward(actor, obs_i)
     x = _joint_input(batch.obs, actions)
     # the critic's cache goes before the actor's is made, so only one set of
@@ -457,21 +470,19 @@ def train(config: TrainConfig,
     total_steps = 0
     rounds = 0
 
+    def act(obs: np.ndarray) -> np.ndarray:
+        # the policy and epsilon that the loop below last bound
+        return _team_actions(policy, obs, epsilon, explore_rng)
+
     for episode in range(config.max_episodes):
         epsilon = epsilon_for_episode(episode, config)
         ep_eps[episode] = epsilon
         # rebuilt whenever the actors may have changed: after an update
         # round, and after on_episode, which sees the live networks
         policy = _team_forward([a.actor for a in nets])
-        state = world.reset(scenario)
-        obs = world.observe_all(state, scenario)
-        while not state.done:
-            indices, _probs = _team_actions(policy, obs, epsilon,
-                                            explore_rng, need_probs=False)
-            joint = _one_hots(indices)
-            outcome = world.step(state, joint, scenario)
+        for obs, indices, outcome, next_obs in _play(world.reset(scenario),
+                                                     scenario, act):
             state = outcome.next_state
-            next_obs = world.observe_all(state, scenario)
             buffer.push(Transition(
                 obs=obs, action_indices=indices,
                 rewards=outcome.rewards, next_obs=next_obs,
@@ -479,7 +490,6 @@ def train(config: TrainConfig,
             ))
             ep_rewards[episode] += outcome.rewards
             total_steps += 1
-            obs = next_obs
             if (total_steps >= config.learning_start_step
                     and total_steps % config.learning_frequency == 0
                     and len(buffer) >= config.batch_size):
@@ -500,7 +510,7 @@ def train(config: TrainConfig,
 
     return TrainResult(
         scenario=scenario, config=config, nets=nets,
-        episode_rewards=ep_rewards[:config.max_episodes],
+        episode_rewards=ep_rewards,
         episode_steps=ep_steps, episode_goal=ep_goal, episode_epsilon=ep_eps,
         total_env_steps=total_steps, update_rounds=rounds,
     )
@@ -511,7 +521,9 @@ class Trajectory:
     """One executed episode plus everything the analysis needs from it."""
 
     scenario_id: str
-    states: list[WorldState]  # T + 1 entries, reset state first
+    # T + 1 entries: the reset state, then the stepped states themselves,
+    # whose positions are read-only
+    states: list[WorldState]
     observations: np.ndarray  # (T, n, obs_dim), taken before each action
     action_indices: np.ndarray  # (T, n)
     rewards: np.ndarray  # (T, n)
@@ -547,17 +559,12 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
     if len(actors) != n:
         raise ValueError(f"{len(actors)} actors for {n} agents")
     policy = _team_forward(actors)
-    state = world.reset(scenario)
-    states = [state.copy()]
+    states = [world.reset(scenario)]
     all_obs, all_idx, all_rew = [], [], []
-    while not state.done:
-        obs = world.observe_all(state, scenario)
-        indices, _probs = _team_actions(policy, obs, epsilon, rng,
-                                        need_probs=False)
-        joint = _one_hots(indices)
-        outcome = world.step(state, joint, scenario)
-        state = outcome.next_state
-        states.append(state.copy())
+    for obs, indices, outcome, _next_obs in _play(
+            states[0], scenario,
+            lambda o: _team_actions(policy, o, epsilon, rng)):
+        states.append(outcome.next_state)
         all_obs.append(obs)
         all_idx.append(indices)
         all_rew.append(outcome.rewards)
@@ -567,7 +574,7 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
         observations=np.stack(all_obs),
         action_indices=np.stack(all_idx),
         rewards=np.stack(all_rew),
-        done_reason=state.done_reason,
+        done_reason=states[-1].done_reason,
     )
 
 

@@ -577,50 +577,40 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _observation_gather(n_agents: int, n_obstacles: int,
-                        observer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair (a, b) with observation = source[a] - source[b].
+def _observation_gather(n_agents: int,
+                        n_obstacles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables (a, b), each (n_agents, obs_dim).
 
-    source is observe's flat vector [agent positions, agent velocities, box
-    position, obstacle positions, target position, 0.0]. Copied slots
-    subtract the trailing +0.0, which leaves every value, signed zeros
-    included, unchanged.
+    Agent i's observation is source[a[i]] - source[b[i]], where source is
+    observe's flat vector [agent positions, agent velocities, box position,
+    obstacle positions, target position, 0.0]. Copied slots subtract the
+    trailing +0.0, which leaves every value, signed zeros included,
+    unchanged.
     """
-    layout = ObservationLayout(n_agents, n_obstacles, observer)
     box = 4 * n_agents
     target = box + 2 + 2 * n_obstacles
     zero = target + 2
-    a = np.empty(layout.total_dim, dtype=np.intp)
-    b = np.full(layout.total_dim, zero, dtype=np.intp)
+    dim = ObservationLayout(n_agents, n_obstacles, 0).total_dim
+    a = np.empty((n_agents, dim), dtype=np.intp)
+    b = np.full((n_agents, dim), zero, dtype=np.intp)
 
-    def put(slot: slice, src: int, minus: int | None = None) -> None:
-        a[slot] = (src, src + 1)
+    def put(i: int, slot: slice, src: int, minus: int | None = None) -> None:
+        a[i, slot] = (src, src + 1)
         if minus is not None:
-            b[slot] = (minus, minus + 1)
+            b[i, slot] = (minus, minus + 1)
 
-    own = 2 * observer
-    put(layout.self_pos, own)
-    put(layout.self_vel, 2 * n_agents + own)
-    for k in range(n_obstacles):
-        put(layout.obstacle_rel(k), box + 2 + 2 * k, own)
-    put(layout.self_to_target, target, own)
-    put(layout.box_to_target, target, box)
-    for j in layout.teammates:
-        put(layout.teammate_pos(j), 2 * j)
-        put(layout.teammate_vel(j), 2 * n_agents + 2 * j)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
-@functools.lru_cache(maxsize=64)
-def _team_gather(n_agents: int,
-                 n_obstacles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every observer's `_observation_gather` pair, stacked: (n_agents, dim)."""
-    pairs = [_observation_gather(n_agents, n_obstacles, i)
-             for i in range(n_agents)]
-    a = np.stack([p[0] for p in pairs])
-    b = np.stack([p[1] for p in pairs])
+    for i in range(n_agents):
+        layout = ObservationLayout(n_agents, n_obstacles, i)
+        own = 2 * i
+        put(i, layout.self_pos, own)
+        put(i, layout.self_vel, 2 * n_agents + own)
+        for k in range(n_obstacles):
+            put(i, layout.obstacle_rel(k), box + 2 + 2 * k, own)
+        put(i, layout.self_to_target, target, own)
+        put(i, layout.box_to_target, target, box)
+        for j in layout.teammates:
+            put(i, layout.teammate_pos(j), 2 * j)
+            put(i, layout.teammate_vel(j), 2 * n_agents + 2 * j)
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
@@ -640,10 +630,10 @@ def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.n
     n = config.n_agents
     if not 0 <= agent_index < n:
         raise ValueError(f"agent_index {agent_index} out of range for {n} agents")
-    a, b = _observation_gather(n, config.n_obstacles,
-                               operator.index(agent_index))
+    a, b = _observation_gather(n, config.n_obstacles)
+    row = operator.index(agent_index)
     source = _observation_source(state, config)
-    return source[a] - source[b]
+    return source[a[row]] - source[b[row]]
 
 
 def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
@@ -651,7 +641,7 @@ def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
 
     Row i holds the same values as observe(state, i, config).
     """
-    a, b = _team_gather(config.n_agents, config.n_obstacles)
+    a, b = _observation_gather(config.n_agents, config.n_obstacles)
     source = _observation_source(state, config)
     return source[a] - source[b]
 

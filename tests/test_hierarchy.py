@@ -349,12 +349,24 @@ class TestTraceFiles:
     def test_csv_round_trip(self, tmp_path, mini_run):
         res, traj = mini_run
         trace = analyze_rollout(traj, res.nets, res.scenario)
+        # two rows whose argmax is agent 1: a tie at the top within TIE_TOL
+        # goes to agent 0, and so does a flat team
+        near = np.array([[1.0, 1.0 + 5e-13, -2.0 - 5e-13],
+                         [0.0, 1e-13, -1e-13]])
+        trace = DependencyTrace(
+            scenario_id=trace.scenario_id,
+            dependencies=np.concatenate([trace.dependencies, near]),
+            sensitivities=np.concatenate([trace.sensitivities,
+                                          np.zeros((2, 3, 3))]),
+            leaders=np.concatenate([trace.leaders, [0, 0]]),
+            ties=np.concatenate([trace.ties, [True, False]]))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert np.array_equal(back.dependencies, trace.dependencies)
         assert np.array_equal(back.sensitivities, trace.sensitivities)
         assert np.array_equal(back.leaders, trace.leaders)
+        assert np.array_equal(back.ties, trace.ties)
 
     def test_foreign_csv_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"

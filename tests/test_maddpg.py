@@ -27,7 +27,7 @@ from hlab.maddpg import (
     trailing_mean,
     train,
 )
-from hlab.maddpg import _joint_input, _one_hots
+from hlab.maddpg import _joint_input
 
 
 def tiny_config(**kw) -> TrainConfig:
@@ -74,7 +74,7 @@ def _chain_gap(nets, agent, batch):
                                           batch.next_obs[:, j]))
     probs = np.stack([nn.forward(nets[j].actor, batch.obs[:, j])
                       for j in range(len(nets))], axis=1)
-    ones = _one_hots(batch.action_indices)
+    ones = world.ACTION_ONE_HOTS[batch.action_indices]
     own = ones.copy()
     own[:, agent] = probs[:, agent]
     for x in (_joint_input(batch.obs, ones), _joint_input(batch.obs, own)):
@@ -290,7 +290,8 @@ class TestCriticUpdate:
         q_next = nn.forward(nets[0].target_critic,
                             _joint_input(batch.next_obs, next_probs))[:, 0]
         y = td_target(batch.rewards[:, 0], batch.terminal, q_next, 0.9)
-        x = _joint_input(batch.obs, _one_hots(batch.action_indices))
+        x = _joint_input(batch.obs,
+                         world.ACTION_ONE_HOTS[batch.action_indices])
 
         theta0 = nets[0].critic.copy()
         critic_update(0, nets, batch, gamma=0.9, max_grad_norm=0.0)
@@ -341,7 +342,7 @@ class TestActorUpdate:
             actor_update(0, nets, batch, max_grad_norm=0.0, logit_reg=reg)
             analytic = theta0.flatten() - nets[0].actor.flatten()
 
-            ones = _one_hots(batch.action_indices)
+            ones = world.ACTION_ONE_HOTS[batch.action_indices]
             probe = theta0.copy()
             flat = theta0.flatten()
 
@@ -821,7 +822,7 @@ def _ref_critic_update(agent, nets, batch, gamma, max_grad_norm):
     x_next = _joint_input(batch.next_obs, next_probs)
     q_next = _ref_forward(nets[agent].target_critic, x_next)[:, 0]
     y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
-    x = _joint_input(batch.obs, _one_hots(batch.action_indices))
+    x = _joint_input(batch.obs, world.ACTION_ONE_HOTS[batch.action_indices])
     q = _ref_forward(nets[agent].critic, x)[:, 0]
     err = q - y
     loss = float(np.mean(err ** 2))
@@ -837,7 +838,7 @@ def _ref_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     n = len(nets)
     obs_i = batch.obs[:, agent]
     probs_i = _ref_forward(nets[agent].actor, obs_i)
-    actions = _one_hots(batch.action_indices)
+    actions = world.ACTION_ONE_HOTS[batch.action_indices]
     actions[:, agent] = probs_i
     x = _joint_input(batch.obs, actions)
     q = _ref_forward(nets[agent].critic, x)[:, 0]
@@ -923,12 +924,11 @@ def test_team_actions_match_select_action(epsilon, hidden):
     team_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         obs = rng.normal(size=(3, 6))
-        idx, probs = maddpg._team_actions(policy, obs, epsilon, team_rng,
-                                          need_probs=True)
+        idx = maddpg._team_actions(policy, obs, epsilon, team_rng)
         picks = [select_action(a, o, epsilon, ref_rng)
                  for a, o in zip(actors, obs)]
         assert idx.tolist() == [p[0] for p in picks]
-        assert np.array_equal(probs, np.stack([p[1] for p in picks]))
+        assert np.array_equal(policy(obs), np.stack([p[1] for p in picks]))
     assert team_rng.random() == ref_rng.random()  # same draws consumed
 
 
@@ -936,12 +936,11 @@ def test_team_actions_skip_actors_when_all_explore():
     def never(obs):
         raise AssertionError("actors ran although every agent explored")
 
-    idx, probs = maddpg._team_actions(never, np.zeros((3, 4)), 1.0,
-                                      np.random.default_rng(0),
-                                      need_probs=False)
-    assert probs is None and idx.shape == (3,)
+    idx = maddpg._team_actions(never, np.zeros((3, 4)), 1.0,
+                               np.random.default_rng(0))
+    assert idx.shape == (3,)
     with pytest.raises(ValueError, match="rng"):
-        maddpg._team_actions(never, np.zeros((3, 4)), 0.5, None, False)
+        maddpg._team_actions(never, np.zeros((3, 4)), 0.5, None)
 
 
 def _ref_train(config):
@@ -1001,3 +1000,47 @@ def test_train_matches_per_agent_loop(scenario_id):
             pa, pb = getattr(a, name), getattr(b, name)
             for wa, wb in zip(pa.weights + pa.biases, pb.weights + pb.biases):
                 assert np.array_equal(wa, wb), name
+
+
+def _ref_rollout(actors, scenario, epsilon, rng):
+    """The per-agent rollout: one select_action and one observe call per
+    agent and step, every state copied."""
+    n = scenario.n_agents
+    state = world.reset(scenario)
+    states = [state.copy()]
+    obs, idx, rew = [], [], []
+    while not state.done:
+        o = np.stack([world.observe(state, i, scenario) for i in range(n)])
+        indices = np.array([select_action(actors[i], o[i], epsilon, rng)[0]
+                            for i in range(n)], dtype=np.int64)
+        outcome = world.step(state, np.eye(world.N_ACTIONS)[indices],
+                             scenario)
+        state = outcome.next_state
+        states.append(state.copy())
+        obs.append(o)
+        idx.append(indices)
+        rew.append(outcome.rewards)
+    return states, np.stack(obs), np.stack(idx), np.stack(rew)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("scenario_id", ["a", "c"])
+def test_rollout_matches_per_agent_loop(scenario_id, epsilon):
+    scenario = world.build_scenario(scenario_id)
+    nets = build_agents(scenario, tiny_config(scenario_id=scenario_id,
+                                              hidden=(8, 4)))
+    actors = [a.actor for a in nets]
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    traj = rollout(nets, scenario, epsilon, got_rng if epsilon else None)
+    states, obs, idx, rew = _ref_rollout(actors, scenario, epsilon,
+                                         want_rng if epsilon else None)
+    assert np.array_equal(traj.observations, obs)
+    assert np.array_equal(traj.action_indices, idx)
+    assert np.array_equal(traj.rewards, rew)
+    assert len(traj.states) == len(states)
+    for s, w in zip(traj.states, states):
+        assert s.step_index == w.step_index and s.done == w.done
+        for name in ("agent_pos", "agent_vel", "box_pos", "box_vel"):
+            assert np.array_equal(getattr(s, name), getattr(w, name)), name
+    assert traj.done_reason == states[-1].done_reason
+    assert got_rng.random() == want_rng.random()
