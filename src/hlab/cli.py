@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -84,27 +85,14 @@ def _tool_version() -> str:
     return __version__
 
 
-# flag name (underscored) -> TrainConfig field
-CONFIG_FLAGS = {
-    "episodes": "max_episodes",
-    "max_episode_length": "max_episode_length",
-    "learning_start": "learning_start_step",
-    "learning_frequency": "learning_frequency",
-    "batch_size": "batch_size",
-    "memory_size": "memory_size",
-    "gamma": "gamma",
-    "tau": "tau",
-    "lr_actor": "lr_actor",
-    "lr_critic": "lr_critic",
-    "max_grad_norm": "max_grad_norm",
-    "logit_reg": "actor_logit_reg",
-    "epsilon_start": "epsilon_start",
-    "epsilon_final": "epsilon_final",
-    "epsilon_fraction": "epsilon_fraction",
-}
-
-_INT_FLAGS = {"episodes", "max_episode_length", "learning_start",
-              "learning_frequency", "batch_size", "memory_size"}
+# flag name (underscored) -> TrainConfig field, for every field without a
+# flag of its own; three flags keep a shorter name than their field
+_SHORT_FLAGS = {"max_episodes": "episodes",
+                "learning_start_step": "learning_start",
+                "actor_logit_reg": "logit_reg"}
+CONFIG_FLAGS = {_SHORT_FLAGS.get(f.name, f.name): f
+                for f in dataclasses.fields(maddpg.TrainConfig)
+                if f.name not in ("scenario_id", "seed", "hidden")}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_seed: bool) -> None:
@@ -115,10 +103,9 @@ def _add_config_flags(p: argparse.ArgumentParser, with_seed: bool) -> None:
                        help="training seed (default 0)")
     p.add_argument("--config", metavar="JSON",
                    help="training config file; explicit flags override it")
-    for flag in CONFIG_FLAGS:
-        kind = int if flag in _INT_FLAGS else float
-        p.add_argument(f"--{flag.replace('_', '-')}", type=kind, default=None,
-                       dest=flag)
+    for flag, f in CONFIG_FLAGS.items():
+        p.add_argument(f"--{flag.replace('_', '-')}", type=type(f.default),
+                       default=None, dest=flag)
     p.add_argument("--hidden", default=None,
                    help="hidden layer widths, comma separated (default 128,64)")
 
@@ -127,15 +114,19 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     doc = maddpg.TrainConfig().to_json_dict()
     if getattr(args, "config", None):
         with open(args.config) as fp:
-            doc.update(json.load(fp))
+            loaded = json.load(fp)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON "
+                             f"object, got {type(loaded).__name__}")
+        doc.update(loaded)
     if args.scenario is not None:
         doc["scenario_id"] = args.scenario
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
-    for flag, fieldname in CONFIG_FLAGS.items():
+    for flag, f in CONFIG_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            doc[fieldname] = value
+            doc[f.name] = value
     if getattr(args, "hidden", None) is not None:
         doc["hidden"] = [int(tok) for tok in str(args.hidden).split(",") if tok]
     return maddpg.TrainConfig.from_json_dict(doc)
@@ -148,19 +139,16 @@ def _check_compatibility(nets: list[maddpg.ActorCritic],
         raise IncompatibilityError(
             f"checkpoint holds {len(nets)} agents, scenario "
             f"{scenario.scenario_id!r} has {n}")
-    joint = sum(scenario.layout(i).total_dim for i in range(n)) \
-        + n * world.N_ACTIONS
     for i, a in enumerate(nets):
-        want = scenario.layout(i).total_dim
-        if a.actor.in_dim != want:
+        if a.actor.in_dim != scenario.obs_dim:
             raise IncompatibilityError(
                 f"agent {i + 1} actor expects {a.actor.in_dim}-dim input, "
                 f"scenario {scenario.scenario_id!r} observations are "
-                f"{want}-dim")
-        if a.critic_in_dim != joint:
+                f"{scenario.obs_dim}-dim")
+        if a.critic_in_dim != scenario.joint_dim:
             raise IncompatibilityError(
                 f"agent {i + 1} critic expects {a.critic_in_dim}-dim input, "
-                f"scenario joint input is {joint}-dim")
+                f"scenario joint input is {scenario.joint_dim}-dim")
 
 
 def _train_run(config: maddpg.TrainConfig, out: str, run_id: str,
@@ -298,6 +286,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.rollouts < 1:
+        raise ValueError("--rollouts must be at least 1")
+    if args.min_segment_length < 0:
+        raise ValueError("--min-segment-length must be nonnegative")
     nets = maddpg.load_actor_critics(args.checkpoint)
     scenario = world.build_scenario(args.scenario)
     run_id = args.run_id or f"analyze-{scenario.scenario_id}"

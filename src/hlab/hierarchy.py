@@ -196,10 +196,10 @@ def analyze_rollout(trajectory: Trajectory,
         raise ValueError(f"trajectory has {trajectory.n_agents} agents, "
                          f"scenario has {n}")
     for i, actor in enumerate(actor_params):
-        want = scenario.layout(i).total_dim
-        if actor.in_dim != want:
+        if actor.in_dim != scenario.obs_dim:
             raise ValueError(f"actor {i} expects {actor.in_dim}-dim input, "
-                             f"scenario observations are {want}-dim")
+                             f"scenario observations are "
+                             f"{scenario.obs_dim}-dim")
     # row i of every step's matrix from one stacked pass over agent i's
     # observations; each step's Jacobian is input_jacobian's, bit for bit
     t_steps = trajectory.n_steps

@@ -21,7 +21,7 @@ import functools
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -58,11 +58,12 @@ class TrainConfig:
     lr_critic: float = 0.01
     max_grad_norm: float = 0.5
     actor_logit_reg: float = 1e-3  # squared-logit penalty, keeps softmax alive
-    hidden: tuple[int, ...] = (128, 64)
     epsilon_start: float = 1.0
     epsilon_final: float = 0.05
     epsilon_fraction: float = 0.25  # anneal over this fraction of max_episodes
     seed: int = 0
+    # last, where run manifests have always listed it
+    hidden: tuple[int, ...] = (128, 64)
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.memory_size < self.batch_size:
@@ -79,24 +80,24 @@ class TrainConfig:
             raise ValueError("actor_logit_reg must be non-negative")
 
     def to_json_dict(self) -> dict:
-        doc = {k: getattr(self, k) for k in (
-            "scenario_id", "max_episodes", "max_episode_length",
-            "learning_start_step", "learning_frequency", "batch_size",
-            "memory_size", "gamma", "tau", "lr_actor", "lr_critic",
-            "max_grad_norm", "actor_logit_reg", "epsilon_start",
-            "epsilon_final", "epsilon_fraction", "seed")}
-        doc["hidden"] = list(self.hidden)
-        return doc
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError("training config must be a JSON object, got "
+                             f"{type(doc).__name__}")
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown training config keys: {sorted(extra)}")
         kwargs = dict(doc)
         if "hidden" in kwargs:
-            kwargs["hidden"] = tuple(kwargs["hidden"])
+            hidden = kwargs["hidden"]
+            if not (isinstance(hidden, (list, tuple))
+                    and all(isinstance(h, int) for h in hidden)):
+                raise ValueError("training config hidden must be a list of "
+                                 f"integers, got {hidden!r}")
+            kwargs["hidden"] = tuple(hidden)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -394,13 +395,11 @@ def build_agents(scenario: ScenarioConfig, config: TrainConfig) -> list[AgentNet
     """Fresh per-agent networks with seeds derived from config.seed."""
     ss = np.random.SeedSequence(config.seed)
     init_ss, _explore, _sample = ss.spawn(3)
-    obs_dims = [scenario.layout(i).total_dim for i in range(scenario.n_agents)]
-    joint_dim = sum(obs_dims) + scenario.n_agents * N_ACTIONS
     return [
-        AgentNets.create(obs_dims[i], joint_dim, config.hidden,
+        AgentNets.create(scenario.obs_dim, scenario.joint_dim, config.hidden,
                          config.lr_actor, config.lr_critic,
                          np.random.default_rng(child))
-        for i, child in enumerate(init_ss.spawn(scenario.n_agents))
+        for child in init_ss.spawn(scenario.n_agents)
     ]
 
 
@@ -461,8 +460,7 @@ def train(config: TrainConfig,
     sample_rng = np.random.default_rng(sample_ss)
     nets = build_agents(scenario, config)
 
-    buffer = ReplayBuffer(config.memory_size, n,
-                          scenario.layout(0).total_dim)
+    buffer = ReplayBuffer(config.memory_size, n, scenario.obs_dim)
     ep_rewards = np.zeros((config.max_episodes, n))
     ep_steps = np.zeros(config.max_episodes, dtype=np.int64)
     ep_goal = np.zeros(config.max_episodes, dtype=bool)

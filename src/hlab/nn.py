@@ -13,9 +13,8 @@ diagonal.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -319,17 +318,3 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
         tb *= 1.0 - tau
         tb += tau * ob
 
-
-def params_to_json(params: MlpParams, fp: IO[str] | None = None) -> str:
-    text = json.dumps(params.to_json_dict())
-    if fp is not None:
-        fp.write(text)
-    return text
-
-
-def params_from_json(text_or_fp) -> MlpParams:
-    if hasattr(text_or_fp, "read"):
-        doc = json.load(text_or_fp)
-    else:
-        doc = json.loads(text_or_fp)
-    return MlpParams.from_json_dict(doc)

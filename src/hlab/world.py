@@ -49,9 +49,15 @@ SCENARIO_IDS = ("a", "b", "c")
 TRAJECTORY_MAGIC = "hlab-trajectory v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Geometry, dynamics constants and task parameters of one scenario."""
+    """Geometry, dynamics constants and task parameters of one scenario.
+
+    Frozen and validated on construction; build a variant with
+    dataclasses.replace or build_scenario(id, **overrides). What step and
+    observe derive from the fields is built once per config object, so the
+    list fields must not be mutated in place either.
+    """
 
     scenario_id: str
     agent_starts: list[tuple[float, float]]
@@ -72,6 +78,9 @@ class ScenarioConfig:
     # goal fires when dist(box center, target center) < goal_threshold;
     # None resolves to box_radius + target_radius (disc overlap)
     goal_threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def n_agents(self) -> int:
@@ -107,6 +116,37 @@ class ScenarioConfig:
     def layout(self, agent_index: int) -> "ObservationLayout":
         return ObservationLayout(self.n_agents, self.n_obstacles, agent_index)
 
+    @property
+    def obs_dim(self) -> int:
+        """Width of every agent's observation vector."""
+        return self.layout(0).total_dim
+
+    @property
+    def joint_dim(self) -> int:
+        """Width of a critic's input: every observation, every action."""
+        return self.n_agents * (self.obs_dim + N_ACTIONS)
+
+    @functools.cached_property
+    def _geometry(self) -> "_Geometry":
+        n = self.n_agents
+        radii = np.array([self.agent_radius] * n + [self.box_radius]
+                         + [r for _p, r in self.obstacles], dtype=float)
+        geo = _Geometry(
+            statics=np.array([p for p, _r in self.obstacles],
+                             dtype=float).reshape(-1, 2),
+            radius_sums=radii[:, None] + radii[:n + 1],
+            target=np.array(self.target[0], dtype=float),
+            mass=np.array([[self.agent_mass]] * n + [[self.box_mass]],
+                          dtype=float),
+        )
+        for arr in (geo.statics, geo.radius_sums, geo.target, geo.mass):
+            arr.setflags(write=False)
+        return geo
+
+    @functools.cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        return _observation_gather(self)
+
     def to_json_dict(self) -> dict:
         return {
             "scenario_id": self.scenario_id,
@@ -133,7 +173,7 @@ class ScenarioConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
         agents = doc["agents"]
-        cfg = cls(
+        return cls(
             scenario_id=doc["scenario_id"],
             agent_starts=[tuple(a["pos"]) for a in agents],
             agent_radius=float(agents[0]["radius"]),
@@ -152,8 +192,6 @@ class ScenarioConfig:
             box_mass=float(doc.get("box_mass", 1.0)),
             goal_threshold=doc.get("goal_threshold"),
         )
-        cfg.validate()
-        return cfg
 
     def to_json(self, fp: IO[str] | None = None) -> str:
         text = json.dumps(self.to_json_dict(), indent=2)
@@ -179,7 +217,7 @@ def build_scenario(scenario_id: str, **overrides) -> ScenarioConfig:
     # is counted, so the tasks would be unwinnable by construction; 3.0 puts
     # the route within reach with a handful of steps to spare
     overrides.setdefault("force", 3.0)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         scenario_id=sid,
         agent_starts=[(0.0, -0.75), (0.5, -0.75), (-0.5, -0.75)],
         agent_radius=0.05,
@@ -189,8 +227,6 @@ def build_scenario(scenario_id: str, **overrides) -> ScenarioConfig:
         target=(target_pos, 0.075),
         **overrides,
     )
-    cfg.validate()
-    return cfg
 
 
 @dataclass
@@ -332,7 +368,6 @@ def reset(config: ScenarioConfig) -> WorldState:
 
     The start configuration is fixed, so every episode starts alike.
     """
-    config.validate()
     return WorldState(
         step_index=0,
         agent_pos=np.array(config.agent_starts, dtype=float),
@@ -347,9 +382,11 @@ def decode_action(one_hot: Sequence[float] | np.ndarray) -> int:
     arr = np.asarray(one_hot, dtype=float)
     if arr.shape != (N_ACTIONS,):
         raise ValueError(f"action must have shape ({N_ACTIONS},), got {arr.shape}")
-    if not _is_one_hot(arr):
+    index = int(np.argmax(arr))
+    # step's rule: one-hot exactly when equal to the one-hot of the argmax
+    if not (arr == ACTION_ONE_HOTS[index]).all():
         raise ValueError(f"action must be one-hot, got {arr.tolist()}")
-    return int(np.argmax(arr))
+    return index
 
 
 def action_one_hot(index: int) -> np.ndarray:
@@ -358,15 +395,9 @@ def action_one_hot(index: int) -> np.ndarray:
     return out
 
 
-def _is_one_hot(actions: np.ndarray) -> np.ndarray:
-    """Whether each action vector along the last axis is one-hot."""
-    return (((actions == 0.0) | (actions == 1.0)).all(axis=-1)
-            & (actions.sum(axis=-1) == 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class _Geometry:
-    """A scenario's static geometry, built once per distinct geometry.
+    """Static geometry of one config object (`ScenarioConfig._geometry`).
 
     Bodies are stacked agents, box, obstacles; the first n + 1 move.
     """
@@ -377,39 +408,13 @@ class _Geometry:
     mass: np.ndarray  # (n + 1, 1): agents, then the box
 
 
-def _geometry(config: ScenarioConfig) -> _Geometry:
-    """The cached `_Geometry` of config's geometry fields as they are now."""
-    return _geometry_of(config.n_agents, config.agent_radius,
-                        config.box_radius,
-                        tuple((tuple(p), r) for p, r in config.obstacles),
-                        tuple(config.target[0]), config.agent_mass,
-                        config.box_mass)
-
-
-@functools.lru_cache(maxsize=64)
-def _geometry_of(n_agents: int, agent_radius: float, box_radius: float,
-                 obstacles: tuple, target: tuple[float, float],
-                 agent_mass: float, box_mass: float) -> _Geometry:
-    radii = np.array([agent_radius] * n_agents + [box_radius]
-                     + [r for _p, r in obstacles], dtype=float)
-    geo = _Geometry(
-        statics=np.array([p for p, _r in obstacles],
-                         dtype=float).reshape(-1, 2),
-        radius_sums=radii[:, None] + radii[:n_agents + 1],
-        target=np.array(target, dtype=float),
-        mass=np.array([[agent_mass]] * n_agents + [[box_mass]], dtype=float),
-    )
-    for arr in (geo.statics, geo.radius_sums, geo.target, geo.mass):
-        arr.setflags(write=False)
-    return geo
-
-
 @dataclass(frozen=True, eq=False)
 class _PairGeometry:
     """Pair geometry of one set of positions, carried to the next step.
 
     It is valid for a state only while the state's agent_pos and box_pos
-    are the very arrays below and its scenario has the same `_Geometry`.
+    are the very arrays below and it is stepped under the config whose
+    `_Geometry` this is.
     """
 
     geo: _Geometry
@@ -492,7 +497,7 @@ def reward_components(prev_state: WorldState, state: WorldState,
     box-obstacle collision penalizes everyone. Each term fires at most once
     per agent per step.
     """
-    target = _geometry(config).target
+    target = config._geometry.target
     d_now = _box_target_dist(state.box_pos, target)
     return RewardBreakdown(*_reward_terms(
         _box_target_dist(prev_state.box_pos, target), d_now,
@@ -533,7 +538,7 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
     if not valid.all():
         decode_action(actions[np.argmin(valid)])  # raises for that row
 
-    geo = _geometry(config)
+    geo = config._geometry
     now = _state_pairs(state, geo)
     forces = _body_forces(now, config)
     forces[:n] += config.force * ACTION_DIRECTIONS[indices]
@@ -576,9 +581,8 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _observation_gather(n_agents: int,
-                        n_obstacles: int) -> tuple[np.ndarray, np.ndarray]:
+def _observation_gather(config: ScenarioConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Index tables (a, b), each (n_agents, obs_dim).
 
     Agent i's observation is source[a[i]] - source[b[i]], where source is
@@ -587,12 +591,12 @@ def _observation_gather(n_agents: int,
     trailing +0.0, which leaves every value, signed zeros included,
     unchanged.
     """
+    n_agents, n_obstacles = config.n_agents, config.n_obstacles
     box = 4 * n_agents
     target = box + 2 + 2 * n_obstacles
     zero = target + 2
-    dim = ObservationLayout(n_agents, n_obstacles, 0).total_dim
-    a = np.empty((n_agents, dim), dtype=np.intp)
-    b = np.full((n_agents, dim), zero, dtype=np.intp)
+    a = np.empty((n_agents, config.obs_dim), dtype=np.intp)
+    b = np.full((n_agents, config.obs_dim), zero, dtype=np.intp)
 
     def put(i: int, slot: slice, src: int, minus: int | None = None) -> None:
         a[i, slot] = (src, src + 1)
@@ -600,7 +604,7 @@ def _observation_gather(n_agents: int,
             b[i, slot] = (minus, minus + 1)
 
     for i in range(n_agents):
-        layout = ObservationLayout(n_agents, n_obstacles, i)
+        layout = config.layout(i)
         own = 2 * i
         put(i, layout.self_pos, own)
         put(i, layout.self_vel, 2 * n_agents + own)
@@ -619,7 +623,7 @@ def _observation_gather(n_agents: int,
 def _observation_source(state: WorldState,
                         config: ScenarioConfig) -> np.ndarray:
     """The flat vector that `_observation_gather` indexes into."""
-    geo = _geometry(config)
+    geo = config._geometry
     return np.concatenate((state.agent_pos.ravel(), state.agent_vel.ravel(),
                            state.box_pos, geo.statics.ravel(), geo.target,
                            (0.0,)))
@@ -630,7 +634,7 @@ def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.n
     n = config.n_agents
     if not 0 <= agent_index < n:
         raise ValueError(f"agent_index {agent_index} out of range for {n} agents")
-    a, b = _observation_gather(n, config.n_obstacles)
+    a, b = config._gather
     row = operator.index(agent_index)
     source = _observation_source(state, config)
     return source[a[row]] - source[b[row]]
@@ -641,7 +645,7 @@ def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
 
     Row i holds the same values as observe(state, i, config).
     """
-    a, b = _observation_gather(config.n_agents, config.n_obstacles)
+    a, b = config._gather
     source = _observation_source(state, config)
     return source[a] - source[b]
 

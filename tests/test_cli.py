@@ -1,4 +1,5 @@
 """End-to-end command tests through main(argv), plus chart rendering."""
+import argparse
 import json
 import os
 import shutil
@@ -61,6 +62,31 @@ class TestConfigResolution:
         cfg = cli._resolve_config(self._args(
             ["train", "--scenario", "c", "--seed", "99"]))
         assert cfg.scenario_id == "c" and cfg.seed == 99
+
+    @pytest.mark.parametrize("text", ["3", "[]", '{"hidden": 5}',
+                                      '{"hidden": ["a"]}'])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = cli.main(["train", "--config", str(path), "--out",
+                       str(tmp_path), "--quiet", *TINY[:2]])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "train-a-seed0").exists()
+
+    def test_config_flags_and_types(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        train = commands.choices["train"]
+        kinds = {a.dest: a.type for a in train._actions
+                 if a.dest in cli.CONFIG_FLAGS}
+        ints = ["episodes", "max_episode_length", "learning_start",
+                "learning_frequency", "batch_size", "memory_size"]
+        floats = ["gamma", "tau", "lr_actor", "lr_critic", "max_grad_norm",
+                  "logit_reg", "epsilon_start", "epsilon_final",
+                  "epsilon_fraction"]
+        assert kinds == {**dict.fromkeys(ints, int),
+                         **dict.fromkeys(floats, float)}
 
 
 class TestTrainCommand:
@@ -175,6 +201,24 @@ class TestAnalyzeCommand:
         rc = cli.main(["analyze", "--checkpoint",
                        str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [("--rollouts", "0"),
+                                             ("--min-segment-length", "-1")])
+    def test_bad_argument_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                  monkeypatch, flag, value):
+        run_dir = run_train(tmp_path)
+
+        def no_load(path):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(maddpg, "load_actor_critics", no_load)
+        rc = cli.main(["analyze",
+                       "--checkpoint", str(run_dir / "checkpoints/final"),
+                       "--out", str(tmp_path), "--run-id", "an1",
+                       flag, value])
+        assert rc == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "an1").exists()
 
 
 class TestManifestEnvironment:

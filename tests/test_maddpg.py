@@ -130,6 +130,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             TrainConfig.from_json_dict({"max_episodes": 5, "typo": 1})
 
+    @pytest.mark.parametrize("doc", [3, [], "a"])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            TrainConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("hidden", [5, ["a"], "64", [64, 1.5]])
+    def test_hidden_must_be_integers(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            TrainConfig.from_json_dict({"hidden": hidden})
+
+    def test_json_key_order(self):
+        # run manifests list the config in this order
+        assert list(TrainConfig().to_json_dict()) == [
+            "scenario_id", "max_episodes", "max_episode_length",
+            "learning_start_step", "learning_frequency", "batch_size",
+            "memory_size", "gamma", "tau", "lr_actor", "lr_critic",
+            "max_grad_norm", "actor_logit_reg", "epsilon_start",
+            "epsilon_final", "epsilon_fraction", "seed", "hidden"]
+
 
 class TestEpsilonSchedule:
     def test_endpoints_and_floor(self):

@@ -1,4 +1,5 @@
 """World tests: geometry, integration, rewards, observations, trajectory IO."""
+import dataclasses
 import io
 import math
 
@@ -101,6 +102,27 @@ class TestScenarioGeometry:
     def test_validate_rejects_overlapping_obstacle(self):
         with pytest.raises(ValueError, match="overlaps the box"):
             bare_config(obstacles=[((0.5, 0.5), 0.2)]).validate()
+
+    def test_config_is_frozen(self):
+        cfg = build_scenario("a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_steps = 10
+
+    @pytest.mark.parametrize("bad", [dict(max_steps=0), dict(box_radius=0.0),
+                                     dict(agent_starts=[])])
+    def test_invalid_config_raises_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            bare_config(**bad)
+        with pytest.raises(ValueError):
+            dataclasses.replace(bare_config(), **bad)
+
+    def test_dims_are_the_layout_widths(self):
+        for sid in "abc":
+            cfg = build_scenario(sid)
+            assert {cfg.layout(i).total_dim for i in range(cfg.n_agents)} \
+                == {cfg.obs_dim}
+            assert cfg.joint_dim \
+                == cfg.n_agents * (cfg.obs_dim + world.N_ACTIONS)
 
 
 class TestActions:
@@ -548,6 +570,26 @@ class TestCarriedGeometry:
         joint = np.eye(5)[[3, 3, 3]]
         _assert_outcomes_equal(step(s, joint, c),
                                step(self._fresh(s), joint, c))
+
+    def test_replaced_config_steps_like_a_fresh_one(self):
+        c = build_scenario("c")
+        s = self._stepped(c)
+        # touching agent 1, so stale statics would show in forces, contacts
+        # and observations
+        moved = ((float(s.agent_pos[1, 0]) + 0.25,
+                  float(s.agent_pos[1, 1])), 0.2)
+        replaced = dataclasses.replace(c, obstacles=[moved])
+        doc = c.to_json_dict()
+        doc["obstacles"] = [{"pos": list(moved[0]), "radius": moved[1]}]
+        fresh = ScenarioConfig.from_json_dict(doc)
+        joint = np.eye(5)[[3, 1, 0]]
+        want = step(self._fresh(s), joint, fresh)
+        _assert_outcomes_equal(step(s, joint, replaced), want)
+        _assert_outcomes_equal(step(self._fresh(s), joint, replaced), want)
+        _assert_bits_equal(world.observe_all(s, replaced),
+                           world.observe_all(s, fresh), "observations")
+        assert not np.array_equal(world.observe_all(s, replaced),
+                                  world.observe_all(s, c))
 
     def test_stepped_positions_are_read_only(self):
         s = self._stepped(build_scenario("a"))
