@@ -360,6 +360,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"got {args.seeds!r}")
     if not seeds:
         raise ValueError("--seeds must name at least one seed")
+    if args.min_segment_length < 0:
+        raise ValueError("--min-segment-length must be nonnegative")
     base = _resolve_config(args)
     payloads = []
     for seed in seeds:

@@ -12,7 +12,8 @@ Update cadence follows the step counter, not episodes: after
 `learning_start_step` environment steps, one update round runs every
 `learning_frequency` steps. A round updates every agent in index order
 (critic first, then actor, on one freshly sampled batch per agent) and then
-soft-updates all target networks once.
+soft-updates all target networks once. The episodes between two rounds are
+played side by side, as one batch of lock-step worlds (see train).
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ from hlab.nn import (
 from hlab.world import ACTION_ONE_HOTS, N_ACTIONS, ScenarioConfig, WorldState
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
 @dataclass
 class TrainConfig:
     """Training hyperparameters (defaults are the reference setting)."""
@@ -66,6 +70,11 @@ class TrainConfig:
     hidden: tuple[int, ...] = (128, 64)
 
     def validate(self) -> None:
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be positive, got "
+                             f"{list(self.hidden)}")
+        if self.learning_frequency < 1:
+            raise ValueError("learning_frequency must be positive")
         if self.batch_size < 1 or self.memory_size < self.batch_size:
             raise ValueError("memory_size must hold at least one batch")
         if not 0.0 <= self.gamma <= 1.0:
@@ -91,10 +100,20 @@ class TrainConfig:
         if extra:
             raise ValueError(f"unknown training config keys: {sorted(extra)}")
         kwargs = dict(doc)
+        for f in fields(cls):
+            if f.name == "hidden" or f.name not in kwargs:
+                continue
+            value, kind = kwargs[f.name], type(f.default)
+            # a float field takes an int as well; a bool is no number here
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"training config {f.name} must be "
+                                 f"{_KIND_NAMES[kind]}, got {value!r}")
         if "hidden" in kwargs:
             hidden = kwargs["hidden"]
             if not (isinstance(hidden, (list, tuple))
-                    and all(isinstance(h, int) for h in hidden)):
+                    and all(isinstance(h, int) and not isinstance(h, bool)
+                            for h in hidden)):
                 raise ValueError("training config hidden must be a list of "
                                  f"integers, got {hidden!r}")
             kwargs["hidden"] = tuple(hidden)
@@ -189,6 +208,27 @@ class ReplayBuffer:
         self._cursor = (k + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
+    def put(self, steps: np.ndarray, obs: np.ndarray,
+            action_indices: np.ndarray, rewards: np.ndarray,
+            next_obs: np.ndarray, terminal: np.ndarray) -> None:
+        """Store transitions of a stream, row r at slot steps[r] % capacity.
+
+        steps numbers each row's transition in the stream, from 0; the
+        other arguments stack a Transition's fields along a leading axis.
+        seek then says how much of the stream the buffer holds.
+        """
+        k = steps % self.capacity
+        self._obs[k] = obs
+        self._idx[k] = action_indices
+        self._rew[k] = rewards
+        self._next[k] = next_obs
+        self._term[k] = terminal
+
+    def seek(self, total: int) -> None:
+        """Hold the stream's first total transitions, as after total pushes."""
+        self._cursor = total % self.capacity
+        self._size = min(total, self.capacity)
+
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} transitions, "
@@ -231,32 +271,74 @@ def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
 
 def _team_forward(actors: Sequence[MlpParams]
                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """obs (n, d) -> every actor's soft output on its own row, (n, 5).
+    """obs (..., n, d) -> every actor's soft output on its own row, (..., n, 5).
 
-    Row i equals forward(actors[i], obs[i]) bit for bit. Actors of one
-    shape run as one batched network: matmul runs the same 2-D product on
-    each stacked slice as forward does, and every other operation acts
+    Row i of each team equals forward(actors[i], obs[..., i, :]) bit for
+    bit. Actors of one shape run as one batched network: matmul broadcasts
+    (..., n, 1, d) @ (n, d, h), which runs the same one-row product on each
+    (team, agent) slice as forward does, and every other operation acts
     elementwise or along rows. The stack is a copy of the weights, so the
     function goes stale once an actor changes.
     """
     actors = list(actors)
     if (len({tuple(w.shape for w in a.weights) for a in actors}) != 1
             or any(a.head != "softmax" for a in actors)):
-        return lambda obs: np.stack([forward(a, o)
-                                     for a, o in zip(actors, obs)])
+        def each(obs: np.ndarray) -> np.ndarray:
+            teams = obs.reshape(-1, *obs.shape[-2:])
+            return np.array([[forward(a, o) for a, o in zip(actors, team)]
+                             for team in teams]).reshape(
+                *obs.shape[:-1], N_ACTIONS)
+        return each
     layers = [(np.stack([a.weights[l] for a in actors]).transpose(0, 2, 1),
                np.stack([a.biases[l] for a in actors])[:, None, :])
               for l in range(actors[0].n_layers)]
 
     def probs(obs: np.ndarray) -> np.ndarray:
-        h = obs[:, None, :]
+        h = obs[..., None, :]
         for l, (w, b) in enumerate(layers):
             z = np.matmul(h, w)
             z += b
-            h = np.maximum(z, 0.0) if l < len(layers) - 1 else _softmax(z)
-        return h[:, 0]
+            h = (np.maximum(z, 0.0, out=z) if l < len(layers) - 1
+                 else _softmax(z))
+        return h[..., 0, :]
 
     return probs
+
+
+def _exploration(epsilon: float, steps: int, n: int,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """The exploring picks of `steps` team actions, (steps, n); -1 marks an
+    agent that acts greedily.
+
+    Draws the same random numbers in the same order as select_action
+    called per agent and step. They never depend on the state, so a whole
+    episode's can be drawn before it is played.
+    """
+    if epsilon <= 0.0:
+        return np.full((steps, n), -1, dtype=np.int64)
+    if rng is None:
+        raise ValueError("exploration requires an rng")
+    return np.array([int(rng.integers(N_ACTIONS)) if rng.random() < epsilon
+                     else -1 for _ in range(steps * n)],
+                    dtype=np.int64).reshape(steps, n)
+
+
+def _greedy_fill(policy: Callable[[np.ndarray], np.ndarray],
+                 obs: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """picks (..., n) with each -1 replaced by that agent's greedy action.
+
+    policy is a _team_forward and obs (..., n, d) the teams' observations.
+    The actors run only for teams in which some agent acts greedily.
+    """
+    greedy = picks < 0
+    if greedy.all():
+        return policy(obs).argmax(axis=-1)
+    teams = greedy.any(axis=-1).nonzero()[0]
+    if teams.size:
+        picks[teams] = np.where(greedy[teams],
+                                policy(obs[teams]).argmax(axis=-1),
+                                picks[teams])
+    return picks
 
 
 def _team_actions(policy: Callable[[np.ndarray], np.ndarray],
@@ -268,38 +350,39 @@ def _team_actions(policy: Callable[[np.ndarray], np.ndarray],
     order as one select_action call per agent and picks the same indices.
     The actors run only if some agent acts greedily.
     """
-    draws: list[int | None] = [None] * obs.shape[0]
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("exploration requires an rng")
-        draws = [int(rng.integers(N_ACTIONS)) if rng.random() < epsilon
-                 else None for _ in draws]
-    if None in draws:
-        greedy = policy(obs).argmax(axis=1).tolist()
-        draws = [g if d is None else d for g, d in zip(greedy, draws)]
-    return np.array(draws, dtype=np.int64)
+    return _greedy_fill(policy, obs[None],
+                        _exploration(epsilon, 1, obs.shape[0], rng))[0]
 
 
-def _play(state: WorldState, scenario: ScenarioConfig,
-          act: Callable[[np.ndarray], np.ndarray]
-          ) -> Iterator[tuple[np.ndarray, np.ndarray, world.StepOutcome,
-                              np.ndarray]]:
-    """Play one episode from state, the team acting through act.
+def _play(worlds: world.Worlds, budget: np.ndarray, scenario: ScenarioConfig,
+          act: Callable[[np.ndarray, int, np.ndarray], np.ndarray]
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
+                              world.WorldsStep, np.ndarray]]:
+    """Play K worlds in lock-step, each world's team acting through act.
 
-    act maps the team's observations (n, obs_dim) to action indices (n,).
-    Yields (obs, indices, outcome, next_obs) for every step, next_obs being
-    the observations of outcome.next_state. act is called for a step only
-    once the caller has taken the step before it, so a caller that changes
-    what act reads acts differently from the next step on.
+    World k plays until its episode ends or it has taken budget[k] steps.
+    At lock-step iteration t, act(live, t, obs) maps the worlds still
+    playing (ascending indices) and their observations (k, n, obs_dim) to
+    action indices (k, n). Yields (live, obs, indices, step, next_obs) for
+    every iteration, next_obs being the observations of step.worlds. act
+    is called for an iteration only once the caller has taken the one
+    before it, and the caller may lower budget in between: a world whose
+    budget is spent stops after the iteration that spent it.
     """
-    obs = world.observe_all(state, scenario)
-    while not state.done:
-        indices = act(obs)
-        outcome = world.step(state, ACTION_ONE_HOTS[indices], scenario)
-        state = outcome.next_state
-        next_obs = world.observe_all(state, scenario)
-        yield obs, indices, outcome, next_obs
-        obs = next_obs
+    live = np.arange(len(worlds))
+    obs = world.observe_worlds(worlds, scenario)
+    t = 0
+    while live.size:
+        indices = act(live, t, obs)
+        out = world.step_worlds(worlds, indices, scenario)
+        next_obs = world.observe_worlds(out.worlds, scenario)
+        yield live, obs, indices, out, next_obs
+        t += 1
+        worlds, obs = out.worlds, next_obs
+        stop = out.done | (budget[live] <= t)
+        if stop.any():
+            keep = ~stop
+            live, worlds, obs = live[keep], worlds.take(keep), obs[keep]
 
 
 def td_target(rewards_i: np.ndarray, terminal: np.ndarray, q_next: np.ndarray,
@@ -441,11 +524,101 @@ def _retain_freed_memory() -> None:
     mallopt(m_trim_threshold, 32 << 20)
 
 
+def _next_update(total: int, config: TrainConfig) -> int:
+    """The first update step after total env steps.
+
+    An update step is a step count S >= learning_start_step with
+    S % learning_frequency == 0 and min(S, memory_size) >= batch_size;
+    memory_size holds a batch, so the last is S >= batch_size.
+    """
+    first = max(total + 1, config.learning_start_step, config.batch_size)
+    return -(-first // config.learning_frequency) * config.learning_frequency
+
+
+def _play_block(states: list[WorldState], first: np.ndarray,
+                budget: np.ndarray, epsilons: np.ndarray, rewards: np.ndarray,
+                scenario: ScenarioConfig,
+                policy: Callable[[np.ndarray], np.ndarray],
+                explore_rng: np.random.Generator, buffer: ReplayBuffer
+                ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray,
+                           WorldState | None]:
+    """Play one block of episodes in lock-step, streaming into buffer.
+
+    World k plays on from states[k] at exploration rate epsilons[k], as
+    stream steps first[k] on, for at most budget[k] steps; rewards[k]
+    holds its episode's reward sums so far and gains the block's. Each
+    world's exploration is drawn before the block, in the order of one
+    episode after another. An episode that reaches the goal ends early,
+    so the worlds after it drew theirs too soon: they are dropped, and the
+    stream is rewound to that episode's end.
+
+    Returns (kept, played, final_step, goal, carry): how many worlds are
+    kept; per world, the steps it played, its last step index (0 while its
+    episode runs on) and whether it reached the goal; and the last world's
+    state, where the block cut its episode short.
+    """
+    n = scenario.n_agents
+    k_worlds = len(states)
+    saved = []  # the exploration stream's state before each world's draws
+    picks = np.empty((k_worlds, budget.max(), n), dtype=np.int64)
+    for k in range(k_worlds):
+        saved.append(explore_rng.bit_generator.state)
+        picks[k, :budget[k]] = _exploration(epsilons[k], budget[k], n,
+                                            explore_rng)
+
+    def act(live: np.ndarray, t: int, obs: np.ndarray) -> np.ndarray:
+        return _greedy_fill(policy, obs, picks[live, t])
+
+    played = budget.copy()
+    budget = budget.copy()  # lowered to stop the worlds a goal drops
+    final_step = np.zeros(k_worlds, dtype=np.int64)
+    goal = np.zeros(k_worlds, dtype=bool)
+    goal_at = k_worlds  # the first world whose episode reached the goal
+    carry = None
+    for t, (live, obs, indices, out, next_obs) in enumerate(
+            _play(world.Worlds.of(states), budget, scenario, act)):
+        buffer.put(first[live] + t, obs, indices, out.rewards, next_obs,
+                   out.goal)
+        rewards[live] += out.rewards
+        if out.done.any():
+            ended = live[out.done]
+            played[ended] = t + 1
+            final_step[ended] = out.worlds.step_index[out.done]
+            goal[ended] = out.goal[out.done]
+            if out.goal.any():
+                goal_at = min(goal_at, live[out.goal][0])
+                budget[goal_at + 1:] = 0
+        if (live[-1] == k_worlds - 1 and t + 1 == budget[-1]
+                and not out.done[-1]):
+            carry = out.state(live.size - 1)
+    if goal_at < k_worlds:
+        explore_rng.bit_generator.state = saved[goal_at]
+        _exploration(epsilons[goal_at], played[goal_at], n, explore_rng)
+        carry = None
+    return min(goal_at + 1, k_worlds), played, final_step, goal, carry
+
+
 def train(config: TrainConfig,
           scenario: ScenarioConfig | None = None,
           on_episode: Callable[[int, np.ndarray, bool, list[AgentNets]], None]
           | None = None) -> TrainResult:
-    """Run the full training loop. Deterministic for a fixed config."""
+    """Run the full training loop. Deterministic for a fixed config.
+
+    Between two update rounds the actors are fixed, every episode starts
+    from the same reset state, and no exploration draw depends on the
+    state. So the steps up to the next update step, or to the run's end,
+    form a block that is played as one batch of lock-step worlds, one per
+    episode (_play_block), with the results of playing one episode after
+    another, bit for bit. A goal drops the episodes after it, and the next
+    block starts after the goal. A block holds at most memory_size steps,
+    so it writes no buffer slot twice.
+
+    on_episode(episode, rewards, goal, nets) runs once per finished
+    episode, in episode order, after the episode's block has been played;
+    nets are the live networks, to be read only. It runs before the
+    block-ending update round, except for an episode that ends on the
+    update step itself, which gets it after the round.
+    """
     config.validate()
     _retain_freed_memory()
     if scenario is None:
@@ -467,44 +640,59 @@ def train(config: TrainConfig,
     ep_eps = np.zeros(config.max_episodes)
     total_steps = 0
     rounds = 0
+    episode = 0  # the first episode not yet finished
+    carry: WorldState | None = None  # its state, where a block cut it short
+    fresh = world.reset(scenario)
 
-    def act(obs: np.ndarray) -> np.ndarray:
-        # the policy and epsilon that the loop below last bound
-        return _team_actions(policy, obs, epsilon, explore_rng)
-
-    for episode in range(config.max_episodes):
-        epsilon = epsilon_for_episode(episode, config)
-        ep_eps[episode] = epsilon
-        # rebuilt whenever the actors may have changed: after an update
-        # round, and after on_episode, which sees the live networks
-        policy = _team_forward([a.actor for a in nets])
-        for obs, indices, outcome, next_obs in _play(world.reset(scenario),
-                                                     scenario, act):
-            state = outcome.next_state
-            buffer.push(Transition(
-                obs=obs, action_indices=indices,
-                rewards=outcome.rewards, next_obs=next_obs,
-                terminal=state.done_reason == "goal",
-            ))
-            ep_rewards[episode] += outcome.rewards
-            total_steps += 1
-            if (total_steps >= config.learning_start_step
-                    and total_steps % config.learning_frequency == 0
-                    and len(buffer) >= config.batch_size):
-                for i in range(n):
-                    batch = buffer.sample(config.batch_size, sample_rng)
-                    critic_update(i, nets, batch, config.gamma,
-                                  config.max_grad_norm)
-                    actor_update(i, nets, batch, config.max_grad_norm,
-                                 config.actor_logit_reg)
-                sync_targets(nets, config.tau)
-                rounds += 1
-                policy = _team_forward([a.actor for a in nets])
-        ep_steps[episode] = state.step_index
-        ep_goal[episode] = state.done_reason == "goal"
+    def notify(episodes: np.ndarray) -> None:
         if on_episode is not None:
-            on_episode(episode, ep_rewards[episode], bool(ep_goal[episode]),
-                       nets)
+            for e in episodes:
+                on_episode(int(e), ep_rewards[e], bool(ep_goal[e]), nets)
+
+    while episode < config.max_episodes:
+        update_at = _next_update(total_steps, config)
+        end = min(update_at, total_steps + config.memory_size)
+        # world k plays episodes[k] from stream step first[k] on, for at
+        # most budget[k] steps
+        states, episodes, first, budget = [], [], [], []
+        state, cursor = carry or fresh, total_steps
+        while episode + len(episodes) < config.max_episodes and cursor < end:
+            steps = min(scenario.max_steps - state.step_index, end - cursor)
+            states.append(state)
+            episodes.append(episode + len(episodes))
+            first.append(cursor)
+            budget.append(steps)
+            state, cursor = fresh, cursor + steps
+        episodes, first = np.array(episodes), np.array(first)
+        budget = np.array(budget)
+        ep_eps[episodes] = [epsilon_for_episode(e, config) for e in episodes]
+        rewards = ep_rewards[episodes]  # a copy: a cut episode's sums so far
+        kept, played, final_step, goal, carry = _play_block(
+            states, first, budget, ep_eps[episodes], rewards, scenario,
+            _team_forward([a.actor for a in nets]), explore_rng, buffer)
+        ep_rewards[episodes[:kept]] = rewards[:kept]
+        ended = final_step[:kept] > 0
+        finished = episodes[:kept][ended]
+        ep_steps[finished] = final_step[:kept][ended]
+        ep_goal[finished] = goal[:kept][ended]
+        total_steps = int(first[kept - 1] + played[kept - 1])
+        buffer.seek(total_steps)
+        episode = int(episodes[kept - 1]) + int(ended[-1])
+
+        update = total_steps == update_at
+        # an episode that ends on the update step hears of it after the round
+        late = int(update and ended[-1])
+        notify(finished[:finished.size - late])
+        if update:
+            for i in range(n):
+                batch = buffer.sample(config.batch_size, sample_rng)
+                critic_update(i, nets, batch, config.gamma,
+                              config.max_grad_norm)
+                actor_update(i, nets, batch, config.max_grad_norm,
+                             config.actor_logit_reg)
+            sync_targets(nets, config.tau)
+            rounds += 1
+        notify(finished[finished.size - late:])
 
     return TrainResult(
         scenario=scenario, config=config, nets=nets,
@@ -559,13 +747,14 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
     policy = _team_forward(actors)
     states = [world.reset(scenario)]
     all_obs, all_idx, all_rew = [], [], []
-    for obs, indices, outcome, _next_obs in _play(
-            states[0], scenario,
-            lambda o: _team_actions(policy, o, epsilon, rng)):
-        states.append(outcome.next_state)
-        all_obs.append(obs)
-        all_idx.append(indices)
-        all_rew.append(outcome.rewards)
+    for _live, obs, indices, out, _next_obs in _play(
+            world.Worlds.of(states), np.array([scenario.max_steps]), scenario,
+            lambda _live, _t, o: _greedy_fill(
+                policy, o, _exploration(epsilon, 1, n, rng))):
+        states.append(out.state(0))
+        all_obs.append(obs[0])
+        all_idx.append(indices[0])
+        all_rew.append(out.rewards[0])
     return Trajectory(
         scenario_id=scenario.scenario_id,
         states=states,

@@ -32,7 +32,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,8 +138,12 @@ class ScenarioConfig:
             target=np.array(self.target[0], dtype=float),
             mass=np.array([[self.agent_mass]] * n + [[self.box_mass]],
                           dtype=float),
+            push=self.force * ACTION_DIRECTIONS,
+            tail=np.array([c for p, _r in self.obstacles for c in p]
+                          + list(self.target[0]) + [0.0], dtype=float),
         )
-        for arr in (geo.statics, geo.radius_sums, geo.target, geo.mass):
+        for arr in (geo.statics, geo.radius_sums, geo.target, geo.mass,
+                    geo.push, geo.tail):
             arr.setflags(write=False)
         return geo
 
@@ -234,7 +238,8 @@ class WorldState:
     """Kinematic snapshot of all movable bodies plus episode bookkeeping.
 
     A state that `step` returns has read-only positions, since it carries
-    their pair geometry to the next step; `copy()` gives writable arrays.
+    their one-world stack, pair geometry included, to the next step;
+    `copy()` gives writable arrays.
     """
 
     step_index: int
@@ -244,8 +249,7 @@ class WorldState:
     box_vel: np.ndarray  # (2,)
     done: bool = False
     done_reason: str | None = None  # "goal" | "timeout" | None
-    _pairs: "_PairGeometry | None" = field(default=None, repr=False,
-                                           compare=False)
+    _stack: "_Stack | None" = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "WorldState":
         return WorldState(
@@ -261,7 +265,10 @@ class WorldState:
 
 @dataclass
 class ContactReport:
-    """Per-step contact/boundary events, as seen after integration."""
+    """Per-step contact/boundary events, as seen after integration.
+
+    From step_worlds, every field has a leading world axis.
+    """
 
     pushes: np.ndarray  # (n,) bool: agent overlaps box and moves toward its center
     agent_collisions: np.ndarray  # (n,) bool: agent overlaps some other agent
@@ -406,58 +413,128 @@ class _Geometry:
     radius_sums: np.ndarray  # (bodies, n + 1): radius of body j + movable k
     target: np.ndarray  # (2,)
     mass: np.ndarray  # (n + 1, 1): agents, then the box
+    push: np.ndarray  # (5, 2): force times ACTION_DIRECTIONS
+    tail: np.ndarray  # statics, target, 0.0: the observation source's end
 
 
-@dataclass(frozen=True, eq=False)
-class _PairGeometry:
-    """Pair geometry of one set of positions, carried to the next step.
+class _PairGeometry(NamedTuple):
+    """Pair geometry of K worlds' positions, carried to the next step.
 
-    It is valid for a state only while the state's agent_pos and box_pos
-    are the very arrays below and it is stepped under the config whose
+    It is valid only for the very array pos and under the config whose
     `_Geometry` this is.
     """
 
     geo: _Geometry
-    pos: np.ndarray  # (n + 1, 2): agents, then the box
-    agent_pos: np.ndarray  # view pos[:n]
-    box_pos: np.ndarray  # view pos[n]
-    delta: np.ndarray  # (bodies, n + 1, 2): movable body k - body j
-    dist: np.ndarray  # (bodies, n + 1): length of delta
-    box_target: float  # box-target distance
+    pos: np.ndarray  # (K, n + 1, 2): agents, then the box
+    delta: np.ndarray  # (K, bodies, n + 1, 2): movable body k - body j
+    dist: np.ndarray  # (K, bodies, n + 1): length of delta
+    box_target: np.ndarray  # (K,) box-target distance
 
 
-def _box_target_dist(box_pos: np.ndarray, target: np.ndarray) -> float:
+@dataclass
+class Worlds:
+    """K worlds of one scenario, stepped together by `step_worlds`.
+
+    Row k of every array belongs to world k. Positions that step_worlds
+    returns are read-only, since pairs carries their geometry to the next
+    step.
+    """
+
+    step_index: np.ndarray  # (K,) int
+    pos: np.ndarray  # (K, n + 1, 2): agents, then the box
+    vel: np.ndarray  # (K, n + 1, 2)
+    pairs: _PairGeometry | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, states: Sequence[WorldState]) -> "Worlds":
+        """The worlds of states, in order."""
+        return cls(np.array([s.step_index for s in states], dtype=np.int64),
+                   np.stack([_movable(s.agent_pos, s.box_pos)
+                             for s in states]),
+                   np.stack([_movable(s.agent_vel, s.box_vel)
+                             for s in states]))
+
+    def __len__(self) -> int:
+        return self.pos.shape[0]
+
+    def take(self, rows: np.ndarray) -> "Worlds":
+        """The worlds at rows (indices or a boolean mask), in that order."""
+        pairs = self.pairs
+        if pairs is None:
+            return Worlds(self.step_index[rows], self.pos[rows],
+                          self.vel[rows])
+        pos = pairs.pos[rows]
+        pos.setflags(write=False)
+        return Worlds(self.step_index[rows], pos, self.vel[rows],
+                      _PairGeometry(pairs.geo, pos, pairs.delta[rows],
+                                    pairs.dist[rows],
+                                    pairs.box_target[rows]))
+
+
+class _Stack(NamedTuple):
+    """A stepped state's one-world stack; valid for the state while it
+    still holds these very position arrays."""
+
+    worlds: Worlds
+    agent_pos: np.ndarray
+    box_pos: np.ndarray
+
+
+@dataclass
+class WorldsStep:
+    """What step_worlds returns; row k belongs to world k."""
+
+    worlds: Worlds  # the next states
+    rewards: np.ndarray  # (K, n)
+    terms: np.ndarray  # (5, K, n): the reward terms, in RewardBreakdown order
+    contacts: ContactReport
+    goal: np.ndarray  # (K,) bool
+    done: np.ndarray  # (K,) bool: goal or timeout
+
+    def state(self, k: int) -> WorldState:
+        """World k's next state, as step would return it."""
+        w = self.worlds
+        pos, vel = w.pos[k], w.vel[k]
+        n = pos.shape[0] - 1
+        state = WorldState(int(w.step_index[k]), pos[:n], vel[:n], pos[n],
+                           vel[n])
+        if self.done[k]:
+            state.done = True
+            state.done_reason = "goal" if self.goal[k] else "timeout"
+        if len(w) == 1:
+            state._stack = _Stack(w, state.agent_pos, state.box_pos)
+        return state
+
+
+def _movable(agents: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """(n + 1, 2): the agents' rows, then the box's."""
+    return np.concatenate((agents, box[None]))
+
+
+def _box_target_dist(box_pos: np.ndarray, target: np.ndarray) -> np.ndarray:
     d = box_pos - target
-    return float(np.hypot(d[0], d[1]))
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def _pair_geometry(pos: np.ndarray, geo: _Geometry) -> _PairGeometry:
-    n = pos.shape[0] - 1
-    delta = pos - np.concatenate((pos, geo.statics))[:, None]
-    return _PairGeometry(geo, pos, pos[:n], pos[n], delta,
+    k, movable = pos.shape[:2]
+    bodies = np.empty((k, movable + geo.statics.shape[0], 2))
+    bodies[:, :movable] = pos
+    bodies[:, movable:] = geo.statics
+    delta = pos[:, None] - bodies[:, :, None]
+    return _PairGeometry(geo, pos, delta,
                          np.hypot(delta[..., 0], delta[..., 1]),
-                         _box_target_dist(pos[n], geo.target))
-
-
-def _state_pairs(state: WorldState, geo: _Geometry) -> _PairGeometry:
-    """The state's carried pair geometry if still valid, else a fresh pass."""
-    pairs = state._pairs
-    if (pairs is not None and pairs.geo is geo
-            and state.agent_pos is pairs.agent_pos
-            and state.box_pos is pairs.box_pos):
-        return pairs
-    return _pair_geometry(np.concatenate((state.agent_pos,
-                                          state.box_pos[None])), geo)
+                         _box_target_dist(pos[:, movable - 1], geo.target))
 
 
 def _body_forces(pairs: _PairGeometry, config: ScenarioConfig) -> np.ndarray:
-    """Contact forces on the movable bodies (n + 1, 2): agents, then the box.
+    """Contact forces on the movable bodies (K, n + 1, 2): agents, then box.
 
     Each pair gets a soft repulsion along its center line, ~linear in the
     penetration depth. A body's total is summed from +0 over its partners in
-    stacking order (agents, box, obstacles); that order is part of the
-    byte-identical rerun contract. The self pair adds an exact +0: its delta
-    is zero.
+    stacking order (agents, box, obstacles), along the partner axis alone;
+    that order is part of the byte-identical rerun contract. The self pair
+    adds an exact +0: its delta is zero.
     """
     dist = pairs.dist
     margin = config.contact_margin
@@ -465,24 +542,24 @@ def _body_forces(pairs: _PairGeometry, config: ScenarioConfig) -> np.ndarray:
         0.0, (pairs.geo.radius_sums - dist) / margin)
     direction = pairs.delta / np.maximum(dist, 1e-9)[..., None]
     pair = (config.stiffness * penetration)[..., None] * direction
-    return np.add.reduce(pair, axis=0, initial=0.0)
+    return np.add.reduce(pair, axis=1, initial=0.0)
 
 
 def _detect_contacts(pairs: _PairGeometry, vel: np.ndarray,
                      out_of_bounds: np.ndarray) -> ContactReport:
     """Contacts at the positions of `pairs`, under the velocities `vel`."""
-    n = pairs.pos.shape[0] - 1
+    n = pairs.pos.shape[1] - 1
     overlap = pairs.dist < pairs.geo.radius_sums
-    pushes = np.zeros(n, dtype=bool)
-    for i in overlap[n, :n].nonzero()[0]:
+    pushes = np.zeros(out_of_bounds.shape, dtype=bool)
+    for k, i in zip(*overlap[:, n, :n].nonzero()):
         # np.dot of velocity and box - agent, as a product sum rounds
         # differently and can flip the sign
-        pushes[i] = float(np.dot(vel[i], pairs.delta[i, n])) > 0.0
+        pushes[k, i] = float(np.dot(vel[k, i], pairs.delta[k, i, n])) > 0.0
     return ContactReport(
         pushes=pushes,
         # every agent overlaps itself, so a collision is a second overlap
-        agent_collisions=overlap[:n, :n].sum(axis=0) > 1,
-        box_obstacle_collision=bool(overlap[n + 1:, n].any()),
+        agent_collisions=overlap[:, :n, :n].sum(axis=1) > 1,
+        box_obstacle_collision=overlap[:, n + 1:, n].any(axis=1),
         out_of_bounds=out_of_bounds,
     )
 
@@ -497,33 +574,99 @@ def reward_components(prev_state: WorldState, state: WorldState,
     box-obstacle collision penalizes everyone. Each term fires at most once
     per agent per step.
     """
-    target = config._geometry.target
-    d_now = _box_target_dist(state.box_pos, target)
+    d_prev, d_now = _box_target_dist(np.stack((prev_state.box_pos,
+                                               state.box_pos)),
+                                     config._geometry.target)[:, None]
+    one = ContactReport(*(np.asarray(f)[None] for f in (
+        contacts.pushes, contacts.agent_collisions,
+        contacts.box_obstacle_collision, contacts.out_of_bounds)))
     return RewardBreakdown(*_reward_terms(
-        _box_target_dist(prev_state.box_pos, target), d_now,
-        d_now < config.goal_distance, contacts, config.n_agents))
+        d_prev, d_now, d_now < config.goal_distance, one)[:, 0])
 
 
-def _reward_terms(d_prev: float, d_now: float, goal: bool,
-                  contacts: ContactReport, n: int) -> np.ndarray:
-    """The five terms as rows of a (5, n) array, in RewardBreakdown order."""
-    terms = np.empty((5, n))
-    terms[0] = (d_prev - d_now) * 50.0
-    terms[1] = np.where(contacts.pushes, 50.0, 0.0)
-    terms[2] = 1000.0 if goal else 0.0
-    collided = contacts.agent_collisions | contacts.box_obstacle_collision
-    terms[3] = np.where(collided, -50.0, 0.0)
-    terms[4] = np.where(contacts.out_of_bounds, -50.0, 0.0)
+# what a push, the goal, a collision and leaving the arena are worth
+_EVENT_UNITS = np.array([50.0, 1000.0, -50.0, -50.0])[:, None, None]
+_EVENT_UNITS.setflags(write=False)
+
+
+def _reward_terms(d_prev: np.ndarray, d_now: np.ndarray, goal: np.ndarray,
+                  contacts: ContactReport) -> np.ndarray:
+    """The five terms of K worlds as a (5, K, n) array, in RewardBreakdown
+    order; d_prev, d_now and goal are (K,). A term that does not fire is
+    +0."""
+    events = np.empty((4,) + contacts.pushes.shape, dtype=bool)
+    events[0] = contacts.pushes
+    events[1] = goal[:, None]
+    np.logical_or(contacts.agent_collisions,
+                  contacts.box_obstacle_collision[:, None], out=events[2])
+    events[3] = contacts.out_of_bounds
+    terms = np.zeros((5,) + contacts.pushes.shape)
+    terms[0] = ((d_prev - d_now) * 50.0)[:, None]
+    np.copyto(terms[1:], _EVENT_UNITS, where=events)
     return terms
+
+
+def step_worlds(worlds: Worlds, indices: np.ndarray,
+                config: ScenarioConfig) -> WorldsStep:
+    """Advance K running worlds one time step together.
+
+    indices (K, n) holds each world's joint action as action indices. In
+    each world, agents and box move as one (n + 1, 2) stack, and the next
+    worlds carry the pair geometry of their positions, which serves as
+    their contacts here and as the force geometry of the step after it.
+    World k's results equal those of stepping it alone, bit for bit: every
+    operation acts elementwise or within one world, and partner sums run
+    along their own axis.
+    """
+    geo = config._geometry
+    n = config.n_agents
+    now = worlds.pairs
+    if now is None or now.geo is not geo:
+        now = _pair_geometry(worlds.pos, geo)
+    forces = _body_forces(now, config)
+    forces[:, :n] += geo.push[indices]
+
+    vel = worlds.vel * (1.0 - config.damping) \
+        + (forces / geo.mass) * config.dt
+    pos = now.pos + vel * config.dt
+    pos.setflags(write=False)
+    nxt = _pair_geometry(pos, geo)
+
+    # the boundary is soft: bodies may leave the arena square, agents that
+    # do are penalized through r_bound each step they stay outside
+    out_of_bounds = (np.abs(pos[:, :n]) > config.world_bound).any(axis=2)
+    contacts = _detect_contacts(nxt, vel, out_of_bounds)
+    goal = nxt.box_target < config.goal_distance
+    step_index = worlds.step_index + 1
+    terms = _reward_terms(now.box_target, nxt.box_target, goal, contacts)
+    return WorldsStep(
+        worlds=Worlds(step_index, pos, vel, nxt),
+        rewards=np.add.reduce(terms, axis=0),
+        terms=terms,
+        contacts=contacts,
+        goal=goal,
+        done=goal | (step_index >= config.max_steps),
+    )
+
+
+def _one_world(state: WorldState) -> Worlds:
+    """The state as one world, with its carried pair geometry if valid."""
+    stack = state._stack
+    if (stack is not None and state.agent_pos is stack.agent_pos
+            and state.box_pos is stack.box_pos):
+        pos, pairs = stack.worlds.pos, stack.worlds.pairs
+    else:
+        pos, pairs = _movable(state.agent_pos, state.box_pos)[None], None
+    return Worlds(np.array([state.step_index]), pos,
+                  _movable(state.agent_vel, state.box_vel)[None], pairs)
 
 
 def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray,
          config: ScenarioConfig) -> StepOutcome:
     """Advance one time step under a joint one-hot action.
 
-    Agents and box move as one (n + 1, 2) stack. The next state carries the
-    pair geometry of its positions, which serves as its contacts here and
-    as the force geometry of the step after it.
+    The one-world case of step_worlds. The next state carries its one-world
+    stack, whose pair geometry serves the step after it.
     """
     if state.done:
         raise RuntimeError("cannot step a finished episode; call reset first")
@@ -534,49 +677,20 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
                          f"got {actions.shape}")
     indices = actions.argmax(axis=1)
     # a row is one-hot exactly when it equals the one-hot of its argmax
-    valid = (actions == ACTION_ONE_HOTS[indices]).all(axis=1)
+    valid = actions == ACTION_ONE_HOTS[indices]
     if not valid.all():
-        decode_action(actions[np.argmin(valid)])  # raises for that row
+        decode_action(actions[np.argmin(valid.all(axis=1))])  # raises
 
-    geo = config._geometry
-    now = _state_pairs(state, geo)
-    forces = _body_forces(now, config)
-    forces[:n] += config.force * ACTION_DIRECTIONS[indices]
-
-    vel = np.concatenate((state.agent_vel, state.box_vel[None])) \
-        * (1.0 - config.damping) + (forces / geo.mass) * config.dt
-    pos = now.pos + vel * config.dt
-    pos.setflags(write=False)
-    nxt = _pair_geometry(pos, geo)
-
-    # the boundary is soft: bodies may leave the arena square, agents that
-    # do are penalized through r_bound each step they stay outside
-    out_of_bounds = (np.abs(nxt.agent_pos) > config.world_bound).any(axis=1)
-
-    next_state = WorldState(
-        step_index=state.step_index + 1,
-        agent_pos=nxt.agent_pos,
-        agent_vel=vel[:n],
-        box_pos=nxt.box_pos,
-        box_vel=vel[n],
-        _pairs=nxt,
-    )
-    contacts = _detect_contacts(nxt, vel, out_of_bounds)
-    goal = nxt.box_target < config.goal_distance
-    terms = _reward_terms(now.box_target, nxt.box_target, goal, contacts, n)
-
-    if goal:
-        next_state.done = True
-        next_state.done_reason = "goal"
-    elif next_state.step_index >= config.max_steps:
-        next_state.done = True
-        next_state.done_reason = "timeout"
-
+    out = step_worlds(_one_world(state), indices[None], config)
+    next_state = out.state(0)
+    c = out.contacts
     return StepOutcome(
         next_state=next_state,
-        rewards=np.add.reduce(terms, axis=0),
-        breakdown=RewardBreakdown(*terms),
-        contacts=contacts,
+        rewards=out.rewards[0],
+        breakdown=RewardBreakdown(*out.terms[:, 0]),
+        contacts=ContactReport(c.pushes[0], c.agent_collisions[0],
+                               bool(c.box_obstacle_collision[0]),
+                               c.out_of_bounds[0]),
         done=next_state.done,
     )
 
@@ -586,14 +700,16 @@ def _observation_gather(config: ScenarioConfig
     """Index tables (a, b), each (n_agents, obs_dim).
 
     Agent i's observation is source[a[i]] - source[b[i]], where source is
-    observe's flat vector [agent positions, agent velocities, box position,
-    obstacle positions, target position, 0.0]. Copied slots subtract the
-    trailing +0.0, which leaves every value, signed zeros included,
-    unchanged.
+    one world's flat vector [movable positions, movable velocities,
+    obstacle positions, target position, 0.0], the movable bodies being the
+    agents, then the box. Copied slots subtract the trailing +0.0, which
+    leaves every value, signed zeros included, unchanged.
     """
     n_agents, n_obstacles = config.n_agents, config.n_obstacles
-    box = 4 * n_agents
-    target = box + 2 + 2 * n_obstacles
+    box = 2 * n_agents
+    vel = box + 2
+    statics = 2 * vel
+    target = statics + 2 * n_obstacles
     zero = target + 2
     a = np.empty((n_agents, config.obs_dim), dtype=np.intp)
     b = np.full((n_agents, config.obs_dim), zero, dtype=np.intp)
@@ -607,26 +723,48 @@ def _observation_gather(config: ScenarioConfig
         layout = config.layout(i)
         own = 2 * i
         put(i, layout.self_pos, own)
-        put(i, layout.self_vel, 2 * n_agents + own)
+        put(i, layout.self_vel, vel + own)
         for k in range(n_obstacles):
-            put(i, layout.obstacle_rel(k), box + 2 + 2 * k, own)
+            put(i, layout.obstacle_rel(k), statics + 2 * k, own)
         put(i, layout.self_to_target, target, own)
         put(i, layout.box_to_target, target, box)
         for j in layout.teammates:
             put(i, layout.teammate_pos(j), 2 * j)
-            put(i, layout.teammate_vel(j), 2 * n_agents + 2 * j)
+            put(i, layout.teammate_vel(j), vel + 2 * j)
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
 
 
-def _observation_source(state: WorldState,
-                        config: ScenarioConfig) -> np.ndarray:
-    """The flat vector that `_observation_gather` indexes into."""
-    geo = config._geometry
-    return np.concatenate((state.agent_pos.ravel(), state.agent_vel.ravel(),
-                           state.box_pos, geo.statics.ravel(), geo.target,
-                           (0.0,)))
+def _observe(pos: np.ndarray, vel: np.ndarray,
+             config: ScenarioConfig) -> np.ndarray:
+    """(K, n_agents, obs_dim) from K worlds' (K, n + 1, 2) stacks."""
+    a, b = config._gather
+    k, width = pos.shape[0], pos[0].size
+    tail = config._geometry.tail
+    source = np.empty((k, 2 * width + tail.size))
+    source[:, :width] = pos.reshape(k, width)
+    source[:, width:2 * width] = vel.reshape(k, width)
+    source[:, 2 * width:] = tail
+    # take along axis 1 is the quicker gather for the few worlds a block
+    # keeps after learning starts
+    return source.take(a, axis=1) - source.take(b, axis=1)
+
+
+def observe_worlds(worlds: Worlds, config: ScenarioConfig) -> np.ndarray:
+    """Every agent's observation in every world, (K, n_agents, obs_dim)."""
+    return _observe(worlds.pos, worlds.vel, config)
+
+
+def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
+    """Every agent's observation, (n_agents, obs_dim): observe_worlds of
+    the state's one world.
+
+    Row i holds the same values as observe(state, i, config).
+    """
+    return _observe(_movable(state.agent_pos, state.box_pos)[None],
+                    _movable(state.agent_vel, state.box_vel)[None],
+                    config)[0]
 
 
 def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.ndarray:
@@ -634,20 +772,7 @@ def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.n
     n = config.n_agents
     if not 0 <= agent_index < n:
         raise ValueError(f"agent_index {agent_index} out of range for {n} agents")
-    a, b = config._gather
-    row = operator.index(agent_index)
-    source = _observation_source(state, config)
-    return source[a[row]] - source[b[row]]
-
-
-def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Every agent's observation, (n_agents, obs_dim), in one gather.
-
-    Row i holds the same values as observe(state, i, config).
-    """
-    a, b = config._gather
-    source = _observation_source(state, config)
-    return source[a] - source[b]
+    return observe_all(state, config)[operator.index(agent_index)]
 
 
 # ---------------------------------------------------------------------------
@@ -797,26 +922,28 @@ def replay_trajectory(path, config: ScenarioConfig | None = None,
     rewards = table[:, 3 + 4 * n:3 + 5 * n]
     done = table[:, 3 + 5 * n] == 1.0
 
-    state = reset(config)
-    states, got_rewards = [], []
-    for joint in ACTION_ONE_HOTS[table[:, 4 + 5 * n:].astype(np.intp)]:
-        outcome = step(state, joint, config)
-        state = outcome.next_state
-        states.append(state)
-        got_rewards.append(outcome.rewards)
-        if state.done:
+    # the log's one world, stepped by step_worlds
+    worlds = Worlds.of([reset(config)])
+    stepped = []
+    for joint in table[:, 4 + 5 * n:].astype(np.intp)[:, None]:
+        out = step_worlds(worlds, joint, config)
+        worlds = out.worlds
+        stepped.append(out)
+        if out.done[0]:
             break  # a longer log has done = 0 here, which fails below
-    t = len(states)
+    t = len(stepped)
+    pos = np.concatenate([s.worlds.pos for s in stepped])
+    vel = np.concatenate([s.worlds.vel for s in stepped])
     errors = np.stack([
-        np.abs(np.stack([s.agent_pos for s in states])
-               - agents[:t, :, :2]).max(axis=(1, 2)),
-        np.abs(np.stack([s.agent_vel for s in states])
-               - agents[:t, :, 2:]).max(axis=(1, 2)),
-        np.abs(np.stack([s.box_pos for s in states]) - box[:t]).max(axis=1),
-        np.abs(np.stack(got_rewards) - rewards[:t]).max(axis=1),
+        np.abs(pos[:, :n] - agents[:t, :, :2]).max(axis=(1, 2)),
+        np.abs(vel[:, :n] - agents[:t, :, 2:]).max(axis=(1, 2)),
+        np.abs(pos[:, n] - box[:t]).max(axis=1),
+        np.abs(np.concatenate([s.rewards for s in stepped])
+               - rewards[:t]).max(axis=1),
     ])
     failed = ~(errors <= tol)
-    bad = failed.any(axis=0) | (np.array([s.done for s in states]) != done[:t])
+    bad = failed.any(axis=0) | (np.concatenate([s.done for s in stepped])
+                                != done[:t])
     if not bad.any():
         return ReplayResult(True)
     k = int(bad.argmax())

@@ -74,6 +74,38 @@ class TestConfigResolution:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "train-a-seed0").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "x"), ("max_episodes", 2.5), ("seed", True),
+        ("scenario_id", 3), ("hidden", [True])])
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, key,
+                                                value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"max_episodes": 2, key: value}))
+        rc = cli.main(["train", "--config", str(path), "--out",
+                       str(tmp_path), "--quiet", *TINY[2:-2]])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "train-a-seed0").exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gamma": 1, "tau": 1}))
+        cfg = cli._resolve_config(self._args(
+            ["train", "--config", str(path)]))
+        assert cfg.gamma == 1.0 and cfg.tau == 1.0
+
+    @pytest.mark.parametrize("flag, value", [("--hidden", "0"),
+                                             ("--hidden", "16,-2"),
+                                             ("--learning-frequency", "0")])
+    def test_bad_width_or_frequency_exits_2(self, tmp_path, capsys, flag,
+                                            value):
+        rc = cli.main(["train", "--out", str(tmp_path), "--quiet",
+                       *TINY, flag, value])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "train-a-seed0").exists()
+
     def test_config_flags_and_types(self):
         commands = next(a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction))
@@ -371,6 +403,19 @@ class TestSweepCommand:
     def test_bad_seed_list_exits_2(self, tmp_path):
         rc = cli.main(["sweep", "--seeds", "3,x", "--out", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
+
+    def test_negative_min_segment_length_exits_2_training_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a seed was trained")
+
+        monkeypatch.setattr(maddpg, "train", no_train)
+        rc = cli.main(["sweep", "--scenario", "a", "--seeds", "3",
+                       "--out", str(tmp_path / "out"), *TINY,
+                       "--min-segment-length", "-1"])
+        assert rc == cli.EXIT_USAGE
+        assert "--min-segment-length" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -962,10 +962,12 @@ def test_team_actions_skip_actors_when_all_explore():
         maddpg._team_actions(never, np.zeros((3, 4)), 0.5, None)
 
 
-def _ref_train(config):
+def _ref_train(config, scenario=None, on_episode=None):
     """The per-agent act-and-observe loop: one select_action and one observe
-    call per agent and step, the networks read live."""
-    scenario = world.build_scenario(config.scenario_id)
+    call per agent and step, the networks read live, one episode after
+    another; on_episode runs as each episode ends."""
+    if scenario is None:
+        scenario = world.build_scenario(config.scenario_id)
     scenario = replace(scenario, max_steps=config.max_episode_length)
     n = scenario.n_agents
     _init, explore_ss, sample_ss = np.random.SeedSequence(config.seed).spawn(3)
@@ -1003,6 +1005,9 @@ def _ref_train(config):
                     actor_update(i, nets, batch, config.max_grad_norm,
                                  config.actor_logit_reg)
                 sync_targets(nets, config.tau)
+        if on_episode is not None:
+            on_episode(episode, rewards[episode],
+                       state.done_reason == "goal", nets)
     return rewards, nets
 
 
@@ -1019,6 +1024,84 @@ def test_train_matches_per_agent_loop(scenario_id):
             pa, pb = getattr(a, name), getattr(b, name)
             for wa, wb in zip(pa.weights + pa.biases, pb.weights + pb.biases):
                 assert np.array_equal(wa, wb), name
+
+
+def _assert_nets_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            pa, pb = getattr(a, name), getattr(b, name)
+            for wa, wb in zip(pa.weights + pa.biases, pb.weights + pb.biases):
+                assert np.array_equal(wa, wb), name
+
+
+def _episode_log(path=None):
+    """An on_episode that logs its calls and saves a checkpoint every third
+    episode under path."""
+    calls = []
+
+    def on_episode(ep, rewards, goal, nets):
+        calls.append((ep, rewards.tobytes(), goal))
+        if path is not None and ep % 3 == 2:
+            maddpg.save_checkpoint(nets, path / f"ep_{ep + 1}")
+
+    return calls, on_episode
+
+
+# goal_threshold 1.6 against a start distance of 1.664: random pushes
+# reach the goal now and then
+_GOAL_PRONE = world.build_scenario("a", goal_threshold=1.6)
+
+
+@pytest.mark.parametrize("case", ["goal_rollback", "split_episodes",
+                                  "buffer_wraps"])
+def test_lock_step_blocks_match_sequential_loop(case):
+    """Blocks of lock-step episodes reproduce the sequential loop bit for
+    bit where the blocks are hardest to get right."""
+    cfg = tiny_config(max_episodes=30, max_episode_length=20,
+                      learning_start_step=200, learning_frequency=20,
+                      batch_size=8, memory_size=1000, epsilon_fraction=0.5)
+    if case == "split_episodes":
+        cfg = replace(cfg, learning_frequency=7)
+    elif case == "buffer_wraps":
+        cfg = replace(cfg, learning_frequency=7, memory_size=50)
+    got_calls, got_hook = _episode_log()
+    want_calls, want_hook = _episode_log()
+    got = train(cfg, _GOAL_PRONE, got_hook)
+    want_rewards, want_nets = _ref_train(cfg, _GOAL_PRONE, want_hook)
+    # the first block, 200 steps of pure collection, holds several goals,
+    # each of which rolls the block back
+    first_block = np.cumsum(got.episode_steps) <= cfg.learning_start_step
+    assert got.episode_goal[first_block].sum() >= 3
+    assert got.update_rounds > 0
+    assert got_calls == want_calls
+    assert np.array_equal(got.episode_rewards, want_rewards)
+    assert got.episode_goal.tolist() == [c[2] for c in want_calls]
+    _assert_nets_equal(got.nets, want_nets)
+    if case != "goal_rollback":
+        # update steps fall inside episodes, so blocks cut them
+        assert cfg.max_episode_length % cfg.learning_frequency != 0
+    if case == "buffer_wraps":
+        # the first block fills the ring buffer four times over
+        assert cfg.learning_start_step >= 4 * cfg.memory_size
+
+
+def test_on_episode_checkpoints_match_sequential_loop(tmp_path):
+    cfg = tiny_config(max_episodes=24, max_episode_length=20,
+                      learning_start_step=100, learning_frequency=30,
+                      batch_size=8, memory_size=80, epsilon_fraction=0.5)
+    got_calls, got_hook = _episode_log(tmp_path / "got")
+    want_calls, want_hook = _episode_log(tmp_path / "want")
+    got = train(cfg, _GOAL_PRONE, got_hook)
+    _ref_train(cfg, _GOAL_PRONE, want_hook)
+    assert got.episode_goal.any() and got.update_rounds > 0
+    assert got_calls == want_calls
+    saved = sorted(os.listdir(tmp_path / "got"))
+    assert saved == sorted(os.listdir(tmp_path / "want"))
+    assert len(saved) == 8
+    for ep in saved:
+        for name in sorted(os.listdir(tmp_path / "got" / ep)):
+            assert (tmp_path / "got" / ep / name).read_bytes() \
+                == (tmp_path / "want" / ep / name).read_bytes(), (ep, name)
 
 
 def _ref_rollout(actors, scenario, epsilon, rng):

@@ -833,3 +833,93 @@ def test_step_accepts_negative_zero_in_one_hot():
     _assert_bits_equal(b.next_state.agent_pos, a.next_state.agent_pos,
                        "agent_pos")
     _assert_bits_equal(b.rewards, a.rewards, "rewards")
+
+
+def _random_worlds(cfg, rng, k):
+    """k states that crowd the events: agents around the box, the box near
+    an obstacle or the target, some at rest on the start positions, some a
+    step before their timeout."""
+    n = cfg.n_agents
+    (tx, ty), _tr = cfg.target
+    states = []
+    for j in range(k):
+        if j % 6 == 0:
+            s = reset(cfg)
+            s.step_index = int(rng.integers(0, cfg.max_steps))
+            states.append(s)
+            continue
+        kind = j % 3
+        if kind == 0:  # the box just outside goal reach
+            angle = rng.uniform(0, 2 * np.pi)
+            box = np.array([tx, ty]) + (cfg.goal_distance + rng.uniform(
+                0.0, 0.02)) * np.array([np.cos(angle), np.sin(angle)])
+        elif kind == 1:  # the box touching an obstacle
+            (ox, oy), orad = cfg.obstacles[int(rng.integers(cfg.n_obstacles))]
+            angle = rng.uniform(0, 2 * np.pi)
+            box = np.array([ox, oy]) + (orad + cfg.box_radius + rng.uniform(
+                -0.01, 0.01)) * np.array([np.cos(angle), np.sin(angle)])
+        else:
+            box = rng.uniform(-1.05, 1.05, size=2)
+        agents = box + rng.normal(scale=0.1, size=(n, 2))
+        states.append(make_state(
+            agents, box, agent_vel=rng.normal(scale=0.3, size=(n, 2)),
+            box_vel=rng.normal(scale=0.2, size=2),
+            step_index=int(rng.choice([0, cfg.max_steps - 2,
+                                       cfg.max_steps - 1]))))
+    return states
+
+
+@pytest.mark.parametrize("scenario_id", world.SCENARIO_IDS)
+def test_worlds_step_each_world_as_alone(scenario_id):
+    """K worlds stepped together, some ending and dropping out while the
+    rest go on, each equal to itself stepped alone, signed zeros included."""
+    cfg = build_scenario(scenario_id)
+    rng = np.random.default_rng(11)
+    solo = _random_worlds(cfg, rng, 48)
+    worlds = world.Worlds.of(solo)
+    seen = dict.fromkeys(("push", "collision", "box_obstacle", "bounds",
+                          "goal", "timeout", "still"), 0)
+    while solo:
+        indices = rng.integers(0, 5, size=(len(solo), cfg.n_agents))
+        obs = world.observe_worlds(worlds, cfg)
+        out = world.step_worlds(worlds, indices, cfg)
+        alone = []
+        for r, s in enumerate(solo):
+            _assert_bits_equal(obs[r], world.observe_all(s, cfg),
+                               f"observations, world {r}")
+            want = step(s, np.eye(5)[indices[r]], cfg)
+            got = out.state(r)
+            where = f"world {r}, step {s.step_index}"
+            for name in ("agent_pos", "agent_vel", "box_pos", "box_vel"):
+                _assert_bits_equal(getattr(got, name),
+                                   getattr(want.next_state, name),
+                                   f"{name}, {where}")
+            _assert_bits_equal(out.rewards[r], want.rewards, where)
+            _assert_bits_equal(out.terms[:, r],
+                               np.stack(dataclasses.astuple(want.breakdown)),
+                               where)
+            for name in ("pushes", "agent_collisions", "out_of_bounds"):
+                assert np.array_equal(getattr(out.contacts, name)[r],
+                                      getattr(want.contacts, name)), where
+            assert out.contacts.box_obstacle_collision[r] \
+                == want.contacts.box_obstacle_collision, where
+            assert (got.step_index, got.done, got.done_reason) == (
+                want.next_state.step_index, want.next_state.done,
+                want.next_state.done_reason), where
+            assert out.goal[r] == (got.done_reason == "goal")
+            c = want.contacts
+            seen["push"] += c.pushes.any()
+            seen["collision"] += c.agent_collisions.any()
+            seen["box_obstacle"] += c.box_obstacle_collision
+            seen["bounds"] += c.out_of_bounds.any()
+            seen["goal"] += got.done_reason == "goal"
+            seen["timeout"] += got.done_reason == "timeout"
+            alone.append(want.next_state)
+        seen["still"] += bool(out.done.any() and not out.done.all())
+        keep = ~out.done
+        worlds = out.worlds.take(keep)
+        solo = [s for s, live in zip(alone, keep) if live]
+    # every event fired, and some iterations stepped a batch in which
+    # worlds ended while others went on
+    assert all(v > 0 for v in seen.values()), seen
+
