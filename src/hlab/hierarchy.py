@@ -343,7 +343,12 @@ def write_trace_csv(trace: DependencyTrace, path) -> None:
             writer.writerow(row)
 
 
-def read_trace_csv(path) -> DependencyTrace:
+def read_trace_csv(path, scenario_id: str) -> DependencyTrace:
+    """Read a trace written by write_trace_csv.
+
+    trace.csv holds no scenario, so the caller names it: the run's
+    scenario.json or its report.json do.
+    """
     with open(path, newline="") as fp:
         reader = csv.DictReader(fp)
         fields = reader.fieldnames or []
@@ -362,7 +367,7 @@ def read_trace_csv(path) -> DependencyTrace:
     deps_arr = np.array(deps).reshape(-1, n)
     leaders, ties = _leaders_and_ties(deps_arr)
     return DependencyTrace(
-        scenario_id="?",
+        scenario_id=scenario_id,
         dependencies=deps_arr,
         sensitivities=(np.stack(sens) if sens else np.zeros((0, n, n))),
         leaders=leaders,

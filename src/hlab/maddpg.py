@@ -435,11 +435,11 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     n = len(nets)
     actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
+    # one actor pass serves the critic's input and both actor backwards
+    actor_cache = forward(actor, obs_i, return_cache=True)
     actions = ACTION_ONE_HOTS[batch.action_indices]
-    actions[:, agent] = forward(actor, obs_i)
+    actions[:, agent] = actor_cache[0]
     x = _joint_input(batch.obs, actions)
-    # the critic's cache goes before the actor's is made, so only one set of
-    # batch-sized layer arrays is alive at a time
     cache = forward(nets[agent].critic, x, return_cache=True)
     loss = float(-np.mean(cache[0][:, 0]))
     upstream = np.full((m, 1), -1.0 / m)
@@ -448,18 +448,16 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     obs_block = batch.obs.shape[2] * n
     g_action = dx[:, obs_block + agent * N_ACTIONS:
                   obs_block + (agent + 1) * N_ACTIONS]
-    cache = forward(actor, obs_i, return_cache=True)
-    grads = backward_params(actor, obs_i, g_action, cache)
+    grads = backward_params(actor, obs_i, g_action, actor_cache)
     if logit_reg > 0.0:
         # the same arrays under a linear head: its output is the cached
         # pre-softmax logits, so its backward reuses the actor's cache
-        _acts, pre, _squeeze = cache[1]
-        logits = pre[-1]
+        _acts, logits, _squeeze = actor_cache[1]
         loss += logit_reg * float(np.mean(logits ** 2))
         body = MlpParams(actor.weights, actor.biases, "linear")
         reg_grads = backward_params(
             body, obs_i, (2.0 * logit_reg / logits.size) * logits,
-            (logits, cache[1]))
+            (logits, actor_cache[1]))
         for gw, rw in zip(grads.weights, reg_grads.weights):
             gw += rw
         for gb, rb in zip(grads.biases, reg_grads.biases):

@@ -9,7 +9,10 @@ updates. float64 throughout.
 A network is a list of (W, b) layers. Hidden layers use ReLU; the head is
 either linear (value heads) or softmax (action heads). Softmax outputs are
 differentiated through the full Jacobian S = diag(p) - p p^T, not just the
-diagonal.
+diagonal. Hidden ReLUs are applied in place, so a forward cache holds each
+layer's activation and only the head's pre-activation; the backward passes
+take every ReLU mask from the activation, since max(z, 0) > 0 exactly when
+z > 0 (also at -0.0 and NaN).
 """
 from __future__ import annotations
 
@@ -101,8 +104,9 @@ def forward(params: MlpParams, x: np.ndarray,
             return_cache: bool = False):
     """Evaluate the network on a vector (in_dim,) or a batch (m, in_dim).
 
-    With return_cache=True also returns the per-layer pre-activations and
-    activations needed by the backward passes.
+    With return_cache=True also returns what the backward passes need: the
+    layer activations (input first, output last) and the head's
+    pre-activation (the logits under a softmax head).
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -111,13 +115,11 @@ def forward(params: MlpParams, x: np.ndarray,
         raise ValueError(f"input dim {h.shape[1]} does not match network "
                          f"in_dim {params.in_dim}")
     acts = [h]
-    pre = []
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T
         z += b
-        pre.append(z)
         if l < params.n_layers - 1:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=z)
         elif params.head == "softmax":
             h = _softmax(z)
         else:
@@ -125,7 +127,7 @@ def forward(params: MlpParams, x: np.ndarray,
         acts.append(h)
     out = h[0] if squeeze else h
     if return_cache:
-        return out, (acts, pre, squeeze)
+        return out, (acts, z, squeeze)
     return out
 
 
@@ -148,12 +150,12 @@ def _head_grad(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
     """
     if cache is None:
         cache = forward(params, x, return_cache=True)
-    out, (acts, pre, squeeze) = cache
+    out, (acts, _logits, squeeze) = cache
     u = np.asarray(upstream, dtype=float)
     if squeeze:
         u = u.reshape(1, -1)
         out = out.reshape(1, -1)
-    return _head_vjp(params, u, out), acts, pre, squeeze
+    return _head_vjp(params, u, out), acts, squeeze
 
 
 def backward_params(params: MlpParams, x: np.ndarray,
@@ -165,7 +167,7 @@ def backward_params(params: MlpParams, x: np.ndarray,
     Passing the cache of forward(params, x, return_cache=True) skips the
     forward pass.
     """
-    g, acts, pre, _squeeze = _head_grad(params, x, upstream, cache)
+    g, acts, _squeeze = _head_grad(params, x, upstream, cache)
     grads_w: list[np.ndarray] = [None] * params.n_layers  # type: ignore
     grads_b: list[np.ndarray] = [None] * params.n_layers  # type: ignore
     for l in range(params.n_layers - 1, -1, -1):
@@ -173,7 +175,7 @@ def backward_params(params: MlpParams, x: np.ndarray,
         grads_b[l] = g.sum(axis=0)
         if l > 0:
             g = g @ params.weights[l]
-            g *= pre[l - 1] > 0.0
+            g *= acts[l] > 0.0
     return MlpParams(grads_w, grads_b, params.head)
 
 
@@ -184,10 +186,10 @@ def input_gradient(params: MlpParams, x: np.ndarray,
     Passing the cache of forward(params, x, return_cache=True) skips the
     forward pass.
     """
-    g, _acts, pre, squeeze = _head_grad(params, x, upstream, cache)
+    g, acts, squeeze = _head_grad(params, x, upstream, cache)
     for l in range(params.n_layers - 1, 0, -1):
         g = g @ params.weights[l]
-        g *= pre[l - 1] > 0.0
+        g *= acts[l] > 0.0
     g = g @ params.weights[0]
     return g[0] if squeeze else g
 
@@ -201,12 +203,12 @@ def input_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("input_jacobian expects a single input vector")
-    out, (acts, pre, _sq) = forward(params, x, return_cache=True)
+    out, (acts, _logits, _sq) = forward(params, x, return_cache=True)
     jac = np.eye(params.in_dim)
     for l in range(params.n_layers):
         jac = params.weights[l] @ jac
         if l < params.n_layers - 1:
-            jac = jac * (pre[l][0] > 0.0)[:, None]
+            jac = jac * (acts[l + 1][0] > 0.0)[:, None]
     if params.head == "softmax":
         p = out
         jac = (np.diag(p) - np.outer(p, p)) @ jac

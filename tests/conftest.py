@@ -50,9 +50,13 @@ def fd_param_gradient(params: nn.MlpParams, x: np.ndarray,
 
 def min_preactivation_gap(params: nn.MlpParams, x: np.ndarray) -> float:
     """Smallest |pre-activation| across hidden layers (kink proximity)."""
-    _out, (acts, pre, _sq) = nn.forward(params, x, return_cache=True)
-    gaps = [float(np.min(np.abs(z))) for z in pre[:-1]]
-    return min(gaps) if gaps else np.inf
+    h = np.asarray(x, dtype=float)
+    gap = np.inf
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w.T + b
+        gap = min(gap, float(np.min(np.abs(z))))
+        h = np.maximum(z, 0.0)
+    return gap
 
 
 def draw_smooth_case(rng: np.random.Generator, in_dim: int,

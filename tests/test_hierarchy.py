@@ -362,7 +362,8 @@ class TestTraceFiles:
             ties=np.concatenate([trace.ties, [True, False]]))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
-        back = read_trace_csv(path)
+        back = read_trace_csv(path, trace.scenario_id)
+        assert back.scenario_id == trace.scenario_id == "a"
         assert np.array_equal(back.dependencies, trace.dependencies)
         assert np.array_equal(back.sensitivities, trace.sensitivities)
         assert np.array_equal(back.leaders, trace.leaders)
@@ -372,7 +373,7 @@ class TestTraceFiles:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="columns"):
-            read_trace_csv(path)
+            read_trace_csv(path, "a")
 
     def test_report_json_uses_one_based_agent_labels(self, tmp_path):
         report = segment_phases(trace_from_leaders([0] * 5 + [2] * 5),

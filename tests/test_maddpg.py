@@ -892,12 +892,17 @@ def _clone(nets):
             for a in nets]
 
 
-@pytest.mark.parametrize("n_agents", [2, 3])
-@pytest.mark.parametrize("batch_size", [1, 7, 256])
-def test_update_round_matches_reference(n_agents, batch_size, monkeypatch):
+@pytest.mark.parametrize(
+    "n_agents, batch_size, obs_dim, hidden",
+    [pytest.param(n, m, 6, (32, 16), id=f"{m}-{n}")
+     for m in (1, 7, 256) for n in (2, 3)]
+    # the desk run's shapes: 3 agents, 20 observations, hidden (128, 64)
+    + [pytest.param(3, 256, 20, (128, 64), id="desk")])
+def test_update_round_matches_reference(n_agents, batch_size, obs_dim, hidden,
+                                        monkeypatch):
     rng = np.random.default_rng(100 * n_agents + batch_size)
-    nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=6,
-                              hidden=(32, 16), batch=batch_size)
+    nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
+                              hidden=hidden, batch=batch_size)
     ref = _clone(nets)
     calls = []
     real = nn.forward
@@ -912,7 +917,7 @@ def test_update_round_matches_reference(n_agents, batch_size, monkeypatch):
         calls.clear()
         clip = 0.5 if rnd % 2 == 0 else 0.0  # 0 steps unclipped
         for i in range(n_agents):
-            batch = random_batch(rng, batch_size, n_agents, obs_dim=6)
+            batch = random_batch(rng, batch_size, n_agents, obs_dim=obs_dim)
             assert critic_update(i, nets, batch, 0.97, clip) == \
                 _ref_critic_update(i, ref, batch, 0.97, clip)
             assert actor_update(i, nets, batch, clip, 1e-2) == \
@@ -920,9 +925,9 @@ def test_update_round_matches_reference(n_agents, batch_size, monkeypatch):
         sync_targets(nets, 0.05)
         sync_targets(ref, 0.05)
         # per agent: n target actors, the target critic and the critic,
-        # then the actor's soft output, the critic, and one cached actor
-        # pass for both actor backwards (24 for 3 agents, 36 before)
-        assert len(calls) == n_agents * (n_agents + 5)
+        # then one cached actor pass that gives the critic's soft input and
+        # serves both actor backwards, and the critic (21 for 3 agents)
+        assert len(calls) == n_agents * (n_agents + 4)
         for a, b in zip(nets, ref):
             for name in ("actor", "critic", "target_actor", "target_critic"):
                 pa, pb = getattr(a, name), getattr(b, name)

@@ -168,6 +168,105 @@ class TestGradientsAgainstFiniteDifferences:
             nn.input_jacobians(p, np.zeros(4))
 
 
+def _kinked_net(head: str) -> tuple[nn.MlpParams, np.ndarray]:
+    """A net whose hidden pre-activations are exactly zero in places.
+
+    Zeroed weight rows with a +0.0 or -0.0 bias give a unit that sits on
+    its kink for every input; a row that reads only column 0 sits on it
+    for the inputs whose column 0 is +0.0 or -0.0.
+    """
+    rng = np.random.default_rng(31)
+    p = nn.init_params(4, [6, 5], 5, head, rng)
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        w[:2] = 0.0
+        b[0], b[1] = 0.0, -0.0
+        w[2] = 0.0
+        w[2, 0] = 1.5
+        b[2] = 0.0
+    x = rng.normal(size=(9, 4))
+    x[:3, 0] = 0.0
+    x[3:5, 0] = -0.0
+    return p, x
+
+
+def _ref_masked_by_preactivation(params, x, upstream):
+    """Forward and both backwards with each ReLU mask taken from z > 0."""
+    acts, pre, h = [x], [], x
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        if l < params.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        elif params.head == "softmax":
+            shifted = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            h = e / e.sum(axis=-1, keepdims=True)
+        else:
+            h = z
+        acts.append(h)
+    g = upstream
+    if params.head == "softmax":
+        g = h * (g - (g * h).sum(axis=-1, keepdims=True))
+    gw, gb = [None] * params.n_layers, [None] * params.n_layers
+    for l in range(params.n_layers - 1, -1, -1):
+        gw[l] = g.T @ acts[l]
+        gb[l] = g.sum(axis=0)
+        g = g @ params.weights[l]
+        if l > 0:
+            g = g * (pre[l - 1] > 0.0)
+    return pre, nn.MlpParams(gw, gb, params.head), g
+
+
+def _ref_jacobian(params, x):
+    pre, _grads, _dx = _ref_masked_by_preactivation(
+        params, x.reshape(1, -1), np.zeros((1, params.out_dim)))
+    jac = np.eye(params.in_dim)
+    for l, w in enumerate(params.weights):
+        jac = w @ jac
+        if l < params.n_layers - 1:
+            jac = jac * (pre[l][0] > 0.0)[:, None]
+    if params.head == "softmax":
+        p = nn.forward(params, x)
+        jac = (np.diag(p) - np.outer(p, p)) @ jac
+    return jac
+
+
+class TestExactKinks:
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    def test_backwards_mask_like_preactivation_reference(self, head):
+        p, x = _kinked_net(head)
+        u = np.random.default_rng(32).normal(size=(len(x), 5))
+        pre, want, want_dx = _ref_masked_by_preactivation(p, x, u)
+        for z in pre[:-1]:  # every hidden layer has units on and off a kink
+            assert (z == 0.0).any() and (z > 0.0).any() and (z < 0.0).any()
+        cache = nn.forward(p, x, return_cache=True)
+        for c in (None, cache):
+            got = nn.backward_params(p, x, u, c)
+            for a, b in zip(got.weights + got.biases,
+                            want.weights + want.biases):
+                assert a.tobytes() == b.tobytes()
+            assert nn.input_gradient(p, x, u, c).tobytes() == \
+                want_dx.tobytes()
+        for row in x:
+            assert nn.input_jacobian(p, row).tobytes() == \
+                _ref_jacobian(p, row).tobytes()
+
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    def test_forward_leaves_input_unchanged(self, head):
+        p, x = _kinked_net(head)
+        before = x.copy()
+        nn.forward(p, x)
+        nn.forward(p, x, return_cache=True)
+        nn.forward(p, x[3], return_cache=True)
+        assert x.tobytes() == before.tobytes()
+
+    def test_relu_output_is_positive_exactly_where_its_input_is(self):
+        # the backward passes read each ReLU mask off max(z, 0)
+        z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                      -5e-324, 1.0, -1.0])
+        assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
+
+
 class TestOptimizer:
     def test_sgd_step_by_hand(self):
         w = np.array([[1.0, 1.0]])
