@@ -360,6 +360,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"got {args.seeds!r}")
     if not seeds:
         raise ValueError("--seeds must name at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # one run directory and one summary row per seed
+        raise ValueError(f"--seeds names seed(s) {repeated} more than once")
     if args.min_segment_length < 0:
         raise ValueError("--min-segment-length must be nonnegative")
     base = _resolve_config(args)

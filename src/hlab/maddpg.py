@@ -31,6 +31,7 @@ from hlab import world
 from hlab.nn import (
     MlpParams,
     OptimizerState,
+    _head_vjp,
     _softmax,
     backward_params,
     clip_and_apply,
@@ -256,7 +257,8 @@ def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
 
     epsilon > 0 requires an rng; with probability epsilon the executed action
     is uniform over the five choices, otherwise the argmax of the actor.
-    train and rollout act for the whole team through _team_actions instead;
+    rollout acts for the whole team through _team_actions instead, and
+    train through the same _greedy_fill over exploration drawn per block;
     this per-agent form is kept as the reference that _team_actions is
     tested against.
     """
@@ -429,39 +431,38 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     both freezes learning and blanks the dependency analysis).
 
     Returns the minimized scalar: -mean(Q) plus the penalty term. The
-    applied (pre-clip) gradient is exactly the gradient of that scalar.
+    applied (pre-clip) gradient is the gradient of that scalar, taken in
+    one backward: both terms meet at the logits, so the policy cotangent's
+    softmax VJP and the penalty's cotangent are summed there and run back
+    through the actor's layers together.
     """
     m = batch.size
-    n = len(nets)
-    actor = nets[agent].actor
+    actor, critic = nets[agent].actor, nets[agent].critic
     obs_i = batch.obs[:, agent]
-    # one actor pass serves the critic's input and both actor backwards
-    actor_cache = forward(actor, obs_i, return_cache=True)
+    # one actor pass gives the critic's soft input and the actor backward
+    probs, actor_cache = forward(actor, obs_i, return_cache=True)
     actions = ACTION_ONE_HOTS[batch.action_indices]
-    actions[:, agent] = actor_cache[0]
+    actions[:, agent] = probs
     x = _joint_input(batch.obs, actions)
-    cache = forward(nets[agent].critic, x, return_cache=True)
+    cache = forward(critic, x, return_cache=True)
     loss = float(-np.mean(cache[0][:, 0]))
-    upstream = np.full((m, 1), -1.0 / m)
-    dx = input_gradient(nets[agent].critic, x, upstream, cache)
-    del cache
-    obs_block = batch.obs.shape[2] * n
-    g_action = dx[:, obs_block + agent * N_ACTIONS:
-                  obs_block + (agent + 1) * N_ACTIONS]
-    grads = backward_params(actor, obs_i, g_action, actor_cache)
+    # only the agent's own action columns of the critic's input gradient
+    # are needed, so its first layer enters restricted to them (a view)
+    start = batch.obs.shape[2] * len(nets) + agent * N_ACTIONS
+    own_slot = MlpParams(
+        [critic.weights[0][:, start:start + N_ACTIONS], *critic.weights[1:]],
+        critic.biases, critic.head)
+    g_action = input_gradient(own_slot, x, np.full((m, 1), -1.0 / m), cache)
+    del cache, x
+    g_logits = _head_vjp(actor, g_action, probs)
+    _acts, logits, _squeeze = actor_cache
     if logit_reg > 0.0:
-        # the same arrays under a linear head: its output is the cached
-        # pre-softmax logits, so its backward reuses the actor's cache
-        _acts, logits, _squeeze = actor_cache[1]
         loss += logit_reg * float(np.mean(logits ** 2))
-        body = MlpParams(actor.weights, actor.biases, "linear")
-        reg_grads = backward_params(
-            body, obs_i, (2.0 * logit_reg / logits.size) * logits,
-            (logits, actor_cache[1]))
-        for gw, rw in zip(grads.weights, reg_grads.weights):
-            gw += rw
-        for gb, rb in zip(grads.biases, reg_grads.biases):
-            gb += rb
+        g_logits += (2.0 * logit_reg / logits.size) * logits
+    # under a linear head the actor's output is the cached logits, and the
+    # upstream passes through unchanged: one backward from the logits
+    body = MlpParams(actor.weights, actor.biases, "linear")
+    grads = backward_params(body, obs_i, g_logits, (logits, actor_cache))
     clip_and_apply(actor, grads, nets[agent].actor_opt, max_grad_norm)
     return loss
 
@@ -747,8 +748,8 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
     all_obs, all_idx, all_rew = [], [], []
     for _live, obs, indices, out, _next_obs in _play(
             world.Worlds.of(states), np.array([scenario.max_steps]), scenario,
-            lambda _live, _t, o: _greedy_fill(
-                policy, o, _exploration(epsilon, 1, n, rng))):
+            lambda _live, _t, o: _team_actions(policy, o[0], epsilon,
+                                               rng)[None]):
         states.append(out.state(0))
         all_obs.append(obs[0])
         all_idx.append(indices[0])

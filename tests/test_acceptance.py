@@ -317,6 +317,7 @@ def desk_runs():
     return {"runs": runs, "total_wall": time.perf_counter() - t_all}
 
 
+@pytest.mark.slow
 def test_desk_scale_learning(desk_runs):
     runs = desk_runs["runs"]
     winner = next((r for r in runs if r["ok"]), None)
@@ -337,6 +338,7 @@ def test_desk_scale_learning(desk_runs):
     assert winner is not None, detail
 
 
+@pytest.mark.slow
 def test_hierarchy_reports(desk_runs):
     runs = desk_runs["runs"]
     successful = [r for r in runs if r["ok"]]

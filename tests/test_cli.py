@@ -404,6 +404,19 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--seeds", "3,x", "--out", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("seeds", ["5,5", "3,5,05"])
+    def test_repeated_seed_exits_2_training_nothing(self, tmp_path, capsys,
+                                                    monkeypatch, seeds):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a seed was trained")
+
+        monkeypatch.setattr(maddpg, "train", no_train)
+        rc = cli.main(["sweep", "--scenario", "a", "--seeds", seeds,
+                       "--out", str(tmp_path / "out"), *TINY])
+        assert rc == cli.EXIT_USAGE
+        assert "[5] more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_min_segment_length_exits_2_training_nothing(
             self, tmp_path, capsys, monkeypatch):
         def no_train(*args, **kwargs):

@@ -777,9 +777,15 @@ class TestRewardLogAndCheckpoints:
 
 
 # ---------------------------------------------------------------------------
-# Reference update round: every pass recomputed, as before forward caches
-# were shared. Kept verbatim in its arithmetic so the shipped round can be
-# held to it bit for bit.
+# Reference update round: every pass recomputed by its own helpers, with no
+# forward cache shared. Its actor step follows the shipped arithmetic: the
+# penalty's cotangent joins the policy's at the logits and one backward runs
+# from there, and the critic's input gradient is taken for the agent's own
+# action columns only. Both round differently from summing two full actor
+# backwards and slicing a full input gradient (_two_pass_actor_update), so
+# the oracle takes them too and holds the shipped round to itself bit for
+# bit; test_folded_actor_step_matches_two_pass holds the two arithmetics to
+# one gradient.
 
 def _ref_forward(params, x, return_cache=False):
     x = np.asarray(x, dtype=float)
@@ -814,8 +820,8 @@ def _ref_head(params, x, upstream):
     return u, acts, pre, squeeze
 
 
-def _ref_backward_params(params, x, upstream):
-    g, acts, pre, _ = _ref_head(params, x, upstream)
+def _ref_layer_grads(params, g, acts, pre):
+    """Parameter gradients from the head's pre-activation cotangent g."""
     gw, gb = [None] * params.n_layers, [None] * params.n_layers
     for l in range(params.n_layers - 1, -1, -1):
         gw[l] = g.T @ acts[l]
@@ -825,11 +831,17 @@ def _ref_backward_params(params, x, upstream):
     return nn.MlpParams(gw, gb, params.head)
 
 
-def _ref_input_gradient(params, x, upstream):
+def _ref_backward_params(params, x, upstream):
+    g, acts, pre, _ = _ref_head(params, x, upstream)
+    return _ref_layer_grads(params, g, acts, pre)
+
+
+def _ref_input_gradient(params, x, upstream, columns=slice(None)):
+    """The gradient's input columns `columns` only."""
     g, _, pre, squeeze = _ref_head(params, x, upstream)
     for l in range(params.n_layers - 1, 0, -1):
         g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
-    g = g @ params.weights[0]
+    g = g @ params.weights[0][:, columns]
     return g[0] if squeeze else g
 
 
@@ -855,49 +867,89 @@ def _ref_critic_update(agent, nets, batch, gamma, max_grad_norm):
 def _ref_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     m = batch.size
     n = len(nets)
+    actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
-    probs_i = _ref_forward(nets[agent].actor, obs_i)
+    probs_i = _ref_forward(actor, obs_i)
     actions = world.ACTION_ONE_HOTS[batch.action_indices]
     actions[:, agent] = probs_i
     x = _joint_input(batch.obs, actions)
     q = _ref_forward(nets[agent].critic, x)[:, 0]
     loss = float(-np.mean(q))
-    dx = _ref_input_gradient(nets[agent].critic, x,
-                             np.full((m, 1), -1.0 / m))
+    start = batch.obs.shape[2] * n + agent * world.N_ACTIONS
+    g_action = _ref_input_gradient(nets[agent].critic, x,
+                                   np.full((m, 1), -1.0 / m),
+                                   slice(start, start + world.N_ACTIONS))
+    g, acts, pre, _ = _ref_head(actor, obs_i, g_action)
+    if logit_reg > 0.0:
+        logits = pre[-1]
+        loss += logit_reg * float(np.mean(logits ** 2))
+        g = g + (2.0 * logit_reg / logits.size) * logits
+    grads = _ref_layer_grads(actor, g, acts, pre)
+    nn.clip_and_apply(actor, grads, nets[agent].actor_opt, max_grad_norm)
+    return loss
+
+
+def _two_pass_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
+    """The actor step as two full backwards, the policy's and the
+    penalty's, summed layer by layer, with the agent's action columns
+    sliced from the critic's whole input gradient."""
+    m = batch.size
+    n = len(nets)
+    actor = nets[agent].actor
+    obs_i = batch.obs[:, agent]
+    actor_cache = nn.forward(actor, obs_i, return_cache=True)
+    actions = world.ACTION_ONE_HOTS[batch.action_indices]
+    actions[:, agent] = actor_cache[0]
+    x = _joint_input(batch.obs, actions)
+    cache = nn.forward(nets[agent].critic, x, return_cache=True)
+    loss = float(-np.mean(cache[0][:, 0]))
+    dx = nn.input_gradient(nets[agent].critic, x, np.full((m, 1), -1.0 / m),
+                           cache)
     obs_block = batch.obs.shape[2] * n
     g_action = dx[:, obs_block + agent * world.N_ACTIONS:
                   obs_block + (agent + 1) * world.N_ACTIONS]
-    grads = _ref_backward_params(nets[agent].actor, obs_i, g_action)
+    grads = nn.backward_params(actor, obs_i, g_action, actor_cache)
     if logit_reg > 0.0:
-        body = nn.MlpParams(nets[agent].actor.weights,
-                            nets[agent].actor.biases, "linear")
-        logits = _ref_forward(body, obs_i)
+        _acts, logits, _squeeze = actor_cache[1]
         loss += logit_reg * float(np.mean(logits ** 2))
-        reg_grads = _ref_backward_params(
-            body, obs_i, (2.0 * logit_reg / logits.size) * logits)
+        body = nn.MlpParams(actor.weights, actor.biases, "linear")
+        reg_grads = nn.backward_params(
+            body, obs_i, (2.0 * logit_reg / logits.size) * logits,
+            (logits, actor_cache[1]))
         for gw, rw in zip(grads.weights, reg_grads.weights):
             gw += rw
         for gb, rb in zip(grads.biases, reg_grads.biases):
             gb += rb
-    nn.clip_and_apply(nets[agent].actor, grads, nets[agent].actor_opt,
-                      max_grad_norm)
+    nn.clip_and_apply(actor, grads, nets[agent].actor_opt, max_grad_norm)
     return loss
 
 
-def _clone(nets):
+def _clone(nets, lr=0.01, algo="adam"):
     return [AgentNets(a.actor.copy(), a.critic.copy(), a.target_actor.copy(),
                       a.target_critic.copy(),
-                      nn.OptimizerState.for_params(a.actor, 0.01),
-                      nn.OptimizerState.for_params(a.critic, 0.01))
+                      nn.OptimizerState.for_params(a.actor, lr, algo),
+                      nn.OptimizerState.for_params(a.critic, lr, algo))
             for a in nets]
 
 
-@pytest.mark.parametrize(
+_ROUND_SHAPES = pytest.mark.parametrize(
     "n_agents, batch_size, obs_dim, hidden",
     [pytest.param(n, m, 6, (32, 16), id=f"{m}-{n}")
      for m in (1, 7, 256) for n in (2, 3)]
     # the desk run's shapes: 3 agents, 20 observations, hidden (128, 64)
-    + [pytest.param(3, 256, 20, (128, 64), id="desk")])
+    + [pytest.param(3, 256, 20, (128, 64), id="desk"),
+       # the reference run's: scenario c's 18 observations, batch 1256
+       pytest.param(3, 1256, 18, (128, 64), id="reference")])
+
+
+def _counting(calls, real):
+    def counting(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+    return counting
+
+
+@_ROUND_SHAPES
 def test_update_round_matches_reference(n_agents, batch_size, obs_dim, hidden,
                                         monkeypatch):
     rng = np.random.default_rng(100 * n_agents + batch_size)
@@ -905,14 +957,10 @@ def test_update_round_matches_reference(n_agents, batch_size, obs_dim, hidden,
                               hidden=hidden, batch=batch_size)
     ref = _clone(nets)
     calls = []
-    real = nn.forward
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "forward", counting)
-    monkeypatch.setattr(maddpg, "forward", counting)
+    for name in ("forward", "backward_params"):
+        counting = _counting(calls, getattr(nn, name))
+        monkeypatch.setattr(nn, name, counting)
+        monkeypatch.setattr(maddpg, name, counting)
     for rnd in range(4):
         calls.clear()
         clip = 0.5 if rnd % 2 == 0 else 0.0  # 0 steps unclipped
@@ -926,14 +974,55 @@ def test_update_round_matches_reference(n_agents, batch_size, obs_dim, hidden,
         sync_targets(ref, 0.05)
         # per agent: n target actors, the target critic and the critic,
         # then one cached actor pass that gives the critic's soft input and
-        # serves both actor backwards, and the critic (21 for 3 agents)
-        assert len(calls) == n_agents * (n_agents + 4)
+        # the actor backward, and the critic (21 for 3 agents)
+        assert calls.count("forward") == n_agents * (n_agents + 4)
+        # per agent: the critic's backward and one actor backward that
+        # carries the logit penalty too
+        assert calls.count("backward_params") == 2 * n_agents
         for a, b in zip(nets, ref):
             for name in ("actor", "critic", "target_actor", "target_critic"):
                 pa, pb = getattr(a, name), getattr(b, name)
                 for wa, wb in zip(pa.weights + pa.biases,
                                   pb.weights + pb.biases):
                     assert np.array_equal(wa, wb), name
+
+
+@pytest.mark.parametrize("logit_reg", [0.0, 1e-2])
+@_ROUND_SHAPES
+def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
+                                            hidden, logit_reg, monkeypatch):
+    """The folded actor step applies the two-pass step's gradient, to
+    rounding. At SGD lr 1, unclipped, the applied step is the gradient.
+    An entry summed from terms that nearly cancel keeps only the rounding
+    of its terms, so the tolerance is 1e-12 of each entry or of the
+    layer's largest entry, whichever is larger."""
+    rng = np.random.default_rng(100 * n_agents + batch_size)
+    nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
+                              hidden=hidden, batch=batch_size, algo="sgd",
+                              lr=1.0)
+    two = _clone(nets, lr=1.0, algo="sgd")
+    applied = []
+    real = nn.clip_and_apply
+
+    def recording(params, grads, opt, max_grad_norm):
+        applied.append(grads.weights + grads.biases)
+        return real(params, grads, opt, max_grad_norm)
+
+    monkeypatch.setattr(nn, "clip_and_apply", recording)
+    monkeypatch.setattr(maddpg, "clip_and_apply", recording)
+    for i in range(n_agents):
+        batch = random_batch(rng, batch_size, n_agents, obs_dim=obs_dim)
+        before = nets[i].actor.copy()
+        assert actor_update(i, nets, batch, 0.0, logit_reg) == \
+            _two_pass_actor_update(i, two, batch, 0.0, logit_reg)
+        two_pass, folded = applied.pop(), applied.pop()
+        for p0, p1, g, want in zip(
+                before.weights + before.biases,
+                nets[i].actor.weights + nets[i].actor.biases, folded,
+                two_pass):
+            assert np.array_equal(p1, p0 - g)
+            np.testing.assert_allclose(g, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
