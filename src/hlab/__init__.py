@@ -8,7 +8,7 @@ Modules:
     nn         small dense networks with exact gradients and Jacobians
     maddpg     replay buffer, per-agent actor/critic updates, training loop
     hierarchy  pairwise sensitivities, net dependency values, phase segments
-    charts     deterministic SVG charts for reward and dependency traces
+    charts     deterministic SVG charts of dependency and sensitivity traces
     cli        `hlab train | analyze | sweep | replay` entry points
 """
 from hlab.world import (

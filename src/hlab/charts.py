@@ -1,4 +1,4 @@
-"""Static SVG line charts for training and analysis artifacts.
+"""Static SVG line charts for analysis artifacts.
 
 Charts are plain hand-assembled SVG strings: no timestamps, no library
 metadata, fixed canvas and fixed value ranges per chart type, so rerunning
@@ -17,7 +17,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 # fixed value ranges per chart type
 DEPENDENCY_Y = (-5.0, 5.0)
 SENSITIVITY_Y = (0.0, 5.0)
-REWARD_Y = (-2000.0, 3000.0)
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 56, 150, 32, 44  # margins: left/right/top/bottom
@@ -131,12 +130,3 @@ def sensitivity_chart(sensitivities: np.ndarray, scenario_id: str,
                       f"pairwise sensitivity, scenario {scenario_id}",
                       "step", "|grad|", x_range=(0.0, float(max_steps)))
 
-
-def reward_chart(totals: Sequence[float], smoothed: Sequence[float],
-                 scenario_id: str) -> str:
-    """Per-episode team reward and its trailing 100-episode mean."""
-    series = [("total_reward", list(totals)),
-              ("smoothed_w100", list(smoothed))]
-    return line_chart(series, REWARD_Y,
-                      f"training reward, scenario {scenario_id}",
-                      "episode", "reward")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields, replace
@@ -84,10 +85,18 @@ class TrainConfig:
             raise ValueError("tau must lie in (0, 1]")
         if self.max_episodes < 1 or self.max_episode_length < 1:
             raise ValueError("episode counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.epsilon_final <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_final <= epsilon_start <= 1")
-        if self.actor_logit_reg < 0.0:
-            raise ValueError("actor_logit_reg must be non-negative")
+        # the comparisons fail for NaN as well
+        for name in ("lr_actor", "lr_critic"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        # max_grad_norm 0 turns clipping off
+        for name in ("max_grad_norm", "epsilon_fraction", "actor_logit_reg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -186,8 +195,6 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.n_agents = n_agents
-        self.obs_dim = obs_dim
         self._obs = np.zeros((capacity, n_agents, obs_dim))
         self._idx = np.zeros((capacity, n_agents), dtype=np.int64)
         self._rew = np.zeros((capacity, n_agents))
@@ -939,8 +946,9 @@ def load_actor_critics(dirpath) -> list[ActorCritic]:
     return out
 
 
-def load_checkpoint(dirpath, lr_actor: float = 0.01,
-                    lr_critic: float = 0.01) -> list[AgentNets]:
+def load_checkpoint(dirpath) -> list[AgentNets]:
+    """Every network of each agent, with fresh optimizers at the default
+    learning rates."""
     nets = []
     for k, path in enumerate(_agent_files(dirpath), start=1):
         with open(path) as fp:
@@ -953,7 +961,8 @@ def load_checkpoint(dirpath, lr_actor: float = 0.01,
             critic=critic,
             target_actor=MlpParams.from_json_dict(doc["target_actor"]),
             target_critic=MlpParams.from_json_dict(doc["target_critic"]),
-            actor_opt=OptimizerState.for_params(actor, lr_actor),
-            critic_opt=OptimizerState.for_params(critic, lr_critic),
+            actor_opt=OptimizerState.for_params(actor, TrainConfig.lr_actor),
+            critic_opt=OptimizerState.for_params(critic,
+                                                 TrainConfig.lr_critic),
         ))
     return nets

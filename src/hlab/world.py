@@ -237,9 +237,8 @@ def build_scenario(scenario_id: str, **overrides) -> ScenarioConfig:
 class WorldState:
     """Kinematic snapshot of all movable bodies plus episode bookkeeping.
 
-    A state that `step` returns has read-only positions, since it carries
-    their one-world stack, pair geometry included, to the next step;
-    `copy()` gives writable arrays.
+    A state that `step` returns has read-only positions, views of the
+    stepped worlds' positions; `copy()` gives writable arrays.
     """
 
     step_index: int
@@ -249,7 +248,6 @@ class WorldState:
     box_vel: np.ndarray  # (2,)
     done: bool = False
     done_reason: str | None = None  # "goal" | "timeout" | None
-    _stack: "_Stack | None" = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "WorldState":
         return WorldState(
@@ -420,12 +418,11 @@ class _Geometry:
 class _PairGeometry(NamedTuple):
     """Pair geometry of K worlds' positions, carried to the next step.
 
-    It is valid only for the very array pos and under the config whose
-    `_Geometry` this is.
+    It is valid only for the read-only positions of the Worlds that holds
+    it and under the config whose `_Geometry` this is.
     """
 
     geo: _Geometry
-    pos: np.ndarray  # (K, n + 1, 2): agents, then the box
     delta: np.ndarray  # (K, bodies, n + 1, 2): movable body k - body j
     dist: np.ndarray  # (K, bodies, n + 1): length of delta
     box_target: np.ndarray  # (K,) box-target distance
@@ -459,25 +456,12 @@ class Worlds:
 
     def take(self, rows: np.ndarray) -> "Worlds":
         """The worlds at rows (indices or a boolean mask), in that order."""
-        pairs = self.pairs
-        if pairs is None:
-            return Worlds(self.step_index[rows], self.pos[rows],
-                          self.vel[rows])
-        pos = pairs.pos[rows]
-        pos.setflags(write=False)
-        return Worlds(self.step_index[rows], pos, self.vel[rows],
-                      _PairGeometry(pairs.geo, pos, pairs.delta[rows],
-                                    pairs.dist[rows],
-                                    pairs.box_target[rows]))
-
-
-class _Stack(NamedTuple):
-    """A stepped state's one-world stack; valid for the state while it
-    still holds these very position arrays."""
-
-    worlds: Worlds
-    agent_pos: np.ndarray
-    box_pos: np.ndarray
+        pos, pairs = self.pos[rows], self.pairs
+        if pairs is not None:
+            pos.setflags(write=False)
+            pairs = _PairGeometry(pairs.geo, pairs.delta[rows],
+                                  pairs.dist[rows], pairs.box_target[rows])
+        return Worlds(self.step_index[rows], pos, self.vel[rows], pairs)
 
 
 @dataclass
@@ -501,8 +485,6 @@ class WorldsStep:
         if self.done[k]:
             state.done = True
             state.done_reason = "goal" if self.goal[k] else "timeout"
-        if len(w) == 1:
-            state._stack = _Stack(w, state.agent_pos, state.box_pos)
         return state
 
 
@@ -522,7 +504,7 @@ def _pair_geometry(pos: np.ndarray, geo: _Geometry) -> _PairGeometry:
     bodies[:, :movable] = pos
     bodies[:, movable:] = geo.statics
     delta = pos[:, None] - bodies[:, :, None]
-    return _PairGeometry(geo, pos, delta,
+    return _PairGeometry(geo, delta,
                          np.hypot(delta[..., 0], delta[..., 1]),
                          _box_target_dist(pos[:, movable - 1], geo.target))
 
@@ -548,7 +530,7 @@ def _body_forces(pairs: _PairGeometry, config: ScenarioConfig) -> np.ndarray:
 def _detect_contacts(pairs: _PairGeometry, vel: np.ndarray,
                      out_of_bounds: np.ndarray) -> ContactReport:
     """Contacts at the positions of `pairs`, under the velocities `vel`."""
-    n = pairs.pos.shape[1] - 1
+    n = vel.shape[1] - 1
     overlap = pairs.dist < pairs.geo.radius_sums
     pushes = np.zeros(out_of_bounds.shape, dtype=bool)
     for k, i in zip(*overlap[:, n, :n].nonzero()):
@@ -628,7 +610,7 @@ def step_worlds(worlds: Worlds, indices: np.ndarray,
 
     vel = worlds.vel * (1.0 - config.damping) \
         + (forces / geo.mass) * config.dt
-    pos = now.pos + vel * config.dt
+    pos = worlds.pos + vel * config.dt
     pos.setflags(write=False)
     nxt = _pair_geometry(pos, geo)
 
@@ -649,25 +631,10 @@ def step_worlds(worlds: Worlds, indices: np.ndarray,
     )
 
 
-def _one_world(state: WorldState) -> Worlds:
-    """The state as one world, with its carried pair geometry if valid."""
-    stack = state._stack
-    if (stack is not None and state.agent_pos is stack.agent_pos
-            and state.box_pos is stack.box_pos):
-        pos, pairs = stack.worlds.pos, stack.worlds.pairs
-    else:
-        pos, pairs = _movable(state.agent_pos, state.box_pos)[None], None
-    return Worlds(np.array([state.step_index]), pos,
-                  _movable(state.agent_vel, state.box_vel)[None], pairs)
-
-
 def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray,
          config: ScenarioConfig) -> StepOutcome:
-    """Advance one time step under a joint one-hot action.
-
-    The one-world case of step_worlds. The next state carries its one-world
-    stack, whose pair geometry serves the step after it.
-    """
+    """Advance one time step under a joint one-hot action: the one-world
+    case of step_worlds."""
     if state.done:
         raise RuntimeError("cannot step a finished episode; call reset first")
     n = config.n_agents
@@ -681,7 +648,7 @@ def step(state: WorldState, joint_action: Sequence[Sequence[float]] | np.ndarray
     if not valid.all():
         decode_action(actions[np.argmin(valid.all(axis=1))])  # raises
 
-    out = step_worlds(_one_world(state), indices[None], config)
+    out = step_worlds(Worlds.of([state]), indices[None], config)
     next_state = out.state(0)
     c = out.contacts
     return StepOutcome(
@@ -736,24 +703,18 @@ def _observation_gather(config: ScenarioConfig
     return a, b
 
 
-def _observe(pos: np.ndarray, vel: np.ndarray,
-             config: ScenarioConfig) -> np.ndarray:
-    """(K, n_agents, obs_dim) from K worlds' (K, n + 1, 2) stacks."""
+def observe_worlds(worlds: Worlds, config: ScenarioConfig) -> np.ndarray:
+    """Every agent's observation in every world, (K, n_agents, obs_dim)."""
     a, b = config._gather
-    k, width = pos.shape[0], pos[0].size
+    k, width = len(worlds), worlds.pos[0].size
     tail = config._geometry.tail
     source = np.empty((k, 2 * width + tail.size))
-    source[:, :width] = pos.reshape(k, width)
-    source[:, width:2 * width] = vel.reshape(k, width)
+    source[:, :width] = worlds.pos.reshape(k, width)
+    source[:, width:2 * width] = worlds.vel.reshape(k, width)
     source[:, 2 * width:] = tail
     # take along axis 1 is the quicker gather for the few worlds a block
     # keeps after learning starts
     return source.take(a, axis=1) - source.take(b, axis=1)
-
-
-def observe_worlds(worlds: Worlds, config: ScenarioConfig) -> np.ndarray:
-    """Every agent's observation in every world, (K, n_agents, obs_dim)."""
-    return _observe(worlds.pos, worlds.vel, config)
 
 
 def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
@@ -762,9 +723,7 @@ def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
 
     Row i holds the same values as observe(state, i, config).
     """
-    return _observe(_movable(state.agent_pos, state.box_pos)[None],
-                    _movable(state.agent_vel, state.box_vel)[None],
-                    config)[0]
+    return observe_worlds(Worlds.of([state]), config)[0]
 
 
 def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.ndarray:

@@ -106,6 +106,18 @@ class TestConfigResolution:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "train-a-seed0").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr-critic", "-0.5"), ("--max-grad-norm", "nan"),
+        ("--epsilon-fraction", "-1"), ("--lr-actor", "nan"),
+        ("--lr-actor", "inf"), ("--seed", "-1")])
+    def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["train", "--out", str(tmp_path), "--quiet",
+                       *TINY, flag, value])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_flags_and_types(self):
         commands = next(a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction))
@@ -496,9 +508,3 @@ class TestCharts:
         deps = np.full((5, 3), 1e9)
         svg = charts.dependency_chart(deps, "a", 50)
         assert "1e+09" not in svg
-
-    def test_reward_chart_renders(self):
-        totals = np.linspace(-2000, 2500, 200)
-        smoothed = maddpg.trailing_mean(totals, 100)
-        svg = charts.reward_chart(totals, smoothed, "a")
-        assert svg.count("<polyline") >= 2  # raw + smoothed

@@ -115,7 +115,14 @@ class TestConfig:
         dict(gamma=1.5), dict(tau=0.0), dict(batch_size=0),
         dict(memory_size=3, batch_size=4), dict(max_episodes=0),
         dict(epsilon_final=0.9, epsilon_start=0.5),
-        dict(actor_logit_reg=-1.0),
+        dict(actor_logit_reg=-1.0), dict(actor_logit_reg=float("nan")),
+        dict(actor_logit_reg=float("inf")),
+        dict(lr_actor=0.0), dict(lr_actor=float("nan")),
+        dict(lr_actor=float("inf")), dict(lr_critic=-0.5),
+        dict(lr_critic=float("nan")), dict(max_grad_norm=-0.1),
+        dict(max_grad_norm=float("nan")), dict(max_grad_norm=float("inf")),
+        dict(epsilon_fraction=-1.0), dict(epsilon_fraction=float("nan")),
+        dict(epsilon_fraction=float("inf")), dict(seed=-1),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -535,7 +535,9 @@ def _assert_outcomes_equal(got, want):
 
 
 class TestCarriedGeometry:
-    """A stepped state carries its pair geometry; it must never go stale."""
+    """Stepped worlds carry their pair geometry to the next step_worlds
+    call, and stepped states have read-only positions; neither may step
+    differently from fresh positions."""
 
     def _stepped(self, cfg, steps=6):
         s = reset(cfg)
@@ -590,6 +592,33 @@ class TestCarriedGeometry:
                            world.observe_all(s, fresh), "observations")
         assert not np.array_equal(world.observe_all(s, replaced),
                                   world.observe_all(s, c))
+
+    def test_carried_worlds_under_a_replaced_layout_step_fresh(self):
+        c = build_scenario("c")
+        worlds = world.Worlds.of([reset(c)] * 4)
+        for k in range(6):
+            joint = [[3, (k + r) % 5, 2] for r in range(4)]
+            worlds = world.step_worlds(worlds, np.array(joint), c).worlds
+        # touching world 0's agent 1, so stale statics would show in
+        # forces, contacts and rewards
+        moved = ((float(worlds.pos[0, 1, 0]) + 0.25,
+                  float(worlds.pos[0, 1, 1])), 0.2)
+        replaced = dataclasses.replace(c, obstacles=[moved])
+        for carried in (worlds, worlds.take(np.array([2, 0]))):
+            assert carried.pairs is not None
+            indices = np.array([[3, 1, 0]] * len(carried))
+            fresh = world.Worlds(carried.step_index, np.array(carried.pos),
+                                 carried.vel)
+            got = world.step_worlds(carried, indices, replaced)
+            want = world.step_worlds(fresh, indices, replaced)
+            for name in ("pos", "vel"):
+                _assert_bits_equal(getattr(got.worlds, name),
+                                   getattr(want.worlds, name), name)
+            _assert_bits_equal(got.terms, want.terms, "reward terms")
+            for name in ("pushes", "agent_collisions",
+                         "box_obstacle_collision", "out_of_bounds"):
+                assert np.array_equal(getattr(got.contacts, name),
+                                      getattr(want.contacts, name)), name
 
     def test_stepped_positions_are_read_only(self):
         s = self._stepped(build_scenario("a"))
