@@ -20,7 +20,10 @@ in a process pool. A run is deterministic for a given build and BLAS thread
 count: numpy's BLAS may use every core, and checkpoint bytes can change with
 the thread count, so pin OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
 comparing runs. manifest.json records both, with the Python and numpy
-versions and numpy's BLAS library, under "environment".
+versions and numpy's BLAS library, under "environment". A train or sweep
+run's manifest also records "resources": "peak_rss_mb", the process's
+peak resident set so far in MiB (ru_maxrss), which in a sweep without a
+process pool covers the seeds before it too.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -77,6 +81,14 @@ def _environment() -> dict:
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux counts kibibytes, macOS bytes
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10),
+                 2)
 
 
 def _tool_version() -> str:
@@ -207,6 +219,7 @@ def _train_run(config: maddpg.TrainConfig, out: str, run_id: str,
             "goal_episodes": int(result.episode_goal.sum()),
         },
         "environment": environment,
+        "resources": {"peak_rss_mb": _peak_rss_mb()},
         "timestamps": {"started": started, "finished": _now()},
     }
     _write_manifest(run_dir, manifest)
@@ -338,6 +351,7 @@ def _sweep_worker(payload: dict) -> dict:
             min_segment_length=payload["min_segment_length"],
             checkpoint_ref=os.path.join("checkpoints", "final"))
         manifest["artifacts"].update(summary["artifacts"])
+        manifest["resources"]["peak_rss_mb"] = _peak_rss_mb()
         manifest["timestamps"]["finished"] = _now()
         _write_manifest(run_dir, manifest)
         totals = result.episode_rewards.sum(axis=1)
@@ -371,6 +385,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for seed in seeds:
         doc = base.to_json_dict()
         doc["seed"] = seed
+        # every seed's config is checked before any seed trains
+        maddpg.TrainConfig.from_json_dict(doc)
         payloads.append({
             "seed": seed,
             "config": doc,

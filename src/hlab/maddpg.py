@@ -189,65 +189,117 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer over preallocated arrays."""
+    """Fixed-capacity ring buffer of a transition stream, each observation
+    stored once.
+
+    Transition s of the stream (numbered from 0) lives in slot
+    s % (capacity + 1), which holds its actions, rewards and terminal flag
+    and the row of its next observation. The buffer holds the stream's
+    last capacity transitions; the one slot more keeps the newest
+    transition's next observation off the oldest one's observation. The
+    observations live in one array of 2 * (capacity + 1) rows:
+
+    - an observation ring, rows [0, capacity]: ring row s % (capacity + 1)
+      holds transition s's next observation where the episode goes on,
+      which is transition s + 1's observation. So transition s's
+      observation sits in the row before its slot's, (s - 1) % (capacity
+      + 1), written as transition s - 1's next observation or, for a world
+      that starts at s, as its first observation;
+    - final rows [capacity + 1, 2 * (capacity + 1)): the next observation
+      of a transition that ends its episode, by goal or by timeout. Episode
+      e's goes to row capacity + 1 + e % (capacity + 1). The buffer holds
+      at most capacity episode ends, so those rows never collide, and
+      consecutive episodes write consecutive rows: the written part of the
+      array stays dense, which matters where large arrays are backed by
+      huge pages.
+
+    sample picks slots as a ring of capacity slots would and returns what
+    one array of observations and one of next observations would hold.
+
+    A buffer is filled by put (a stream of lock-step worlds, which says
+    where episodes end) or by push (one transition at a time, each with a
+    final row of its own), never both: their final rows would collide.
+    A goal rewind has put write transitions past the held stream that are
+    written again later. sample reads the held transitions right as long
+    as nothing past them was written after them, which holds at every
+    update step of train.
+    """
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._obs = np.zeros((capacity, n_agents, obs_dim))
-        self._idx = np.zeros((capacity, n_agents), dtype=np.int64)
-        self._rew = np.zeros((capacity, n_agents))
-        self._next = np.zeros((capacity, n_agents, obs_dim))
-        self._term = np.zeros(capacity)
-        self._cursor = 0
-        self._size = 0
+        self._slots = slots = capacity + 1  # also the first final row
+        self._obs = np.zeros((2 * slots, n_agents, obs_dim))
+        self._idx = np.zeros((slots, n_agents), dtype=np.int64)
+        self._rew = np.zeros((slots, n_agents))
+        self._next_row = np.zeros(slots, dtype=np.int64)
+        self._term = np.zeros(slots, dtype=bool)
+        self._total = 0  # stream transitions held so far
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._total, self.capacity)
 
     def push(self, tr: Transition) -> None:
-        k = self._cursor
-        self._obs[k] = tr.obs
+        s = self._total
+        k = s % self._slots
+        self._obs[(s - 1) % self._slots] = tr.obs
+        self._obs[self._slots + k] = tr.next_obs
         self._idx[k] = tr.action_indices
         self._rew[k] = tr.rewards
-        self._next[k] = tr.next_obs
-        self._term[k] = 1.0 if tr.terminal else 0.0
-        self._cursor = (k + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._next_row[k] = self._slots + k
+        self._term[k] = tr.terminal
+        self._total = s + 1
 
-    def put(self, steps: np.ndarray, obs: np.ndarray,
+    def put(self, steps: np.ndarray, episodes: np.ndarray,
             action_indices: np.ndarray, rewards: np.ndarray,
-            next_obs: np.ndarray, terminal: np.ndarray) -> None:
-        """Store transitions of a stream, row r at slot steps[r] % capacity.
+            next_obs: np.ndarray, terminal: np.ndarray, done: np.ndarray,
+            obs: np.ndarray | None = None) -> None:
+        """Store transitions of a stream, row r at slot steps[r] %
+        (capacity + 1).
 
-        steps numbers each row's transition in the stream, from 0; the
-        other arguments stack a Transition's fields along a leading axis.
-        seek then says how much of the stream the buffer holds.
+        steps numbers each row's transition in the stream, from 0, and
+        episodes its episode; done marks the rows that end their episode,
+        terminal those that end it at the goal. The other arguments stack a
+        Transition's fields along a leading axis. A transition's
+        observation is the next observation its world's previous
+        transition stored, so obs is given only where every row is the
+        first transition of its world: the observations the worlds start
+        from. seek then says how much of the stream the buffer holds.
         """
-        k = steps % self.capacity
-        self._obs[k] = obs
+        if obs is not None:
+            self._obs[(steps - 1) % self._slots] = obs
+        k = steps % self._slots
+        rows = k
+        if done.any():
+            rows = np.where(done, self._slots + episodes % self._slots, k)
+        self._obs[rows] = next_obs
         self._idx[k] = action_indices
         self._rew[k] = rewards
-        self._next[k] = next_obs
+        self._next_row[k] = rows
         self._term[k] = terminal
 
     def seek(self, total: int) -> None:
         """Hold the stream's first total transitions, as after total pushes."""
-        self._cursor = total % self.capacity
-        self._size = min(total, self.capacity)
+        self._total = total
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        if self._size < batch_size:
-            raise ValueError(f"buffer holds {self._size} transitions, "
+        size = len(self)
+        if size < batch_size:
+            raise ValueError(f"buffer holds {size} transitions, "
                              f"cannot sample {batch_size}")
-        pick = rng.choice(self._size, size=batch_size, replace=False)
+        pick = rng.choice(size, size=batch_size, replace=False)
+        # the draws pick slots of a ring of capacity slots; slot pick
+        # holds the newest stream step s with s % capacity == pick
+        last = self._total - 1
+        steps = last - (last - pick) % self.capacity
+        k = steps % self._slots
         return Batch(
-            obs=self._obs[pick],
-            action_indices=self._idx[pick],
-            rewards=self._rew[pick],
-            next_obs=self._next[pick],
-            terminal=self._term[pick],
+            obs=self._obs[(steps - 1) % self._slots],
+            action_indices=self._idx[k],
+            rewards=self._rew[k],
+            next_obs=self._obs[self._next_row[k]],
+            terminal=self._term[k].astype(float),
         )
 
 
@@ -541,22 +593,22 @@ def _next_update(total: int, config: TrainConfig) -> int:
     return -(-first // config.learning_frequency) * config.learning_frequency
 
 
-def _play_block(states: list[WorldState], first: np.ndarray,
-                budget: np.ndarray, epsilons: np.ndarray, rewards: np.ndarray,
-                scenario: ScenarioConfig,
+def _play_block(states: list[WorldState], episodes: np.ndarray,
+                first: np.ndarray, budget: np.ndarray, epsilons: np.ndarray,
+                rewards: np.ndarray, scenario: ScenarioConfig,
                 policy: Callable[[np.ndarray], np.ndarray],
                 explore_rng: np.random.Generator, buffer: ReplayBuffer
                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray,
                            WorldState | None]:
     """Play one block of episodes in lock-step, streaming into buffer.
 
-    World k plays on from states[k] at exploration rate epsilons[k], as
-    stream steps first[k] on, for at most budget[k] steps; rewards[k]
-    holds its episode's reward sums so far and gains the block's. Each
-    world's exploration is drawn before the block, in the order of one
-    episode after another. An episode that reaches the goal ends early,
-    so the worlds after it drew theirs too soon: they are dropped, and the
-    stream is rewound to that episode's end.
+    World k plays on from states[k] episode episodes[k] at exploration
+    rate epsilons[k], as stream steps first[k] on, for at most budget[k]
+    steps; rewards[k] holds its episode's reward sums so far and gains
+    the block's. Each world's exploration is drawn before the block, in
+    the order of one episode after another. An episode that reaches the
+    goal ends early, so the worlds after it drew theirs too soon: they are
+    dropped, and the stream is rewound to that episode's end.
 
     Returns (kept, played, final_step, goal, carry): how many worlds are
     kept; per world, the steps it played, its last step index (0 while its
@@ -583,8 +635,8 @@ def _play_block(states: list[WorldState], first: np.ndarray,
     carry = None
     for t, (live, obs, indices, out, next_obs) in enumerate(
             _play(world.Worlds.of(states), budget, scenario, act)):
-        buffer.put(first[live] + t, obs, indices, out.rewards, next_obs,
-                   out.goal)
+        buffer.put(first[live] + t, episodes[live], indices, out.rewards,
+                   next_obs, out.goal, out.done, obs if t == 0 else None)
         rewards[live] += out.rewards
         if out.done.any():
             ended = live[out.done]
@@ -674,8 +726,9 @@ def train(config: TrainConfig,
         ep_eps[episodes] = [epsilon_for_episode(e, config) for e in episodes]
         rewards = ep_rewards[episodes]  # a copy: a cut episode's sums so far
         kept, played, final_step, goal, carry = _play_block(
-            states, first, budget, ep_eps[episodes], rewards, scenario,
-            _team_forward([a.actor for a in nets]), explore_rng, buffer)
+            states, episodes, first, budget, ep_eps[episodes], rewards,
+            scenario, _team_forward([a.actor for a in nets]), explore_rng,
+            buffer)
         ep_rewards[episodes[:kept]] = rewards[:kept]
         ended = final_step[:kept] > 0
         finished = episodes[:kept][ended]

@@ -287,6 +287,18 @@ class TestManifestEnvironment:
             assert env["OPENBLAS_NUM_THREADS"] == "1"
             assert env["OMP_NUM_THREADS"] is None
 
+    def test_train_and_sweep_record_peak_rss(self, tmp_path):
+        run_dirs = [run_train(tmp_path)]
+        rc = cli.main(["sweep", "--scenario", "a", "--seeds", "3", "--out",
+                       str(tmp_path), *TINY, "--checkpoint-every", "0"])
+        assert rc == cli.EXIT_OK
+        run_dirs.append(tmp_path / "sweep-a-seed3")
+        for d in run_dirs:
+            manifest = json.loads((d / "manifest.json").read_text())
+            peak = manifest["resources"]["peak_rss_mb"]
+            # at least the interpreter with numpy loaded, in MiB
+            assert isinstance(peak, float) and 10.0 < peak < 1 << 16
+
 
 class TestReplayCommand:
     def test_tampered_log_exits_5(self, tmp_path, capsys):
@@ -440,6 +452,18 @@ class TestSweepCommand:
                        "--min-segment-length", "-1"])
         assert rc == cli.EXIT_USAGE
         assert "--min-segment-length" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_seed_exits_2_training_nothing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a seed was trained")
+
+        monkeypatch.setattr(maddpg, "train", no_train)
+        rc = cli.main(["sweep", "--scenario", "a", "--seeds", "5,-1",
+                       "--out", str(tmp_path / "out"), *TINY])
+        assert rc == cli.EXIT_USAGE
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -207,6 +207,162 @@ class TestReplayBuffer:
         assert len(set(batch.rewards[:, 0].tolist())) == 16
 
 
+class _TwoArrayBuffer:
+    """The replay buffer laid out plainly: slot s % capacity holds all of
+    transition s, observation and next observation in two arrays of their
+    own. ReplayBuffer must sample what this one samples."""
+
+    def __init__(self, capacity, n_agents, obs_dim):
+        self.capacity = capacity
+        self.obs = np.zeros((capacity, n_agents, obs_dim))
+        self.idx = np.zeros((capacity, n_agents), dtype=np.int64)
+        self.rew = np.zeros((capacity, n_agents))
+        self.next = np.zeros((capacity, n_agents, obs_dim))
+        self.term = np.zeros(capacity)
+        self.total = 0
+
+    def put(self, steps, obs, action_indices, rewards, next_obs, terminal):
+        k = steps % self.capacity
+        self.obs[k] = obs
+        self.idx[k] = action_indices
+        self.rew[k] = rewards
+        self.next[k] = next_obs
+        self.term[k] = terminal
+
+    def push(self, tr):
+        self.put(np.array([self.total]), tr.obs, tr.action_indices,
+                 tr.rewards, tr.next_obs, tr.terminal)
+        self.total += 1
+
+    def sample(self, batch_size, rng):
+        pick = rng.choice(min(self.total, self.capacity), size=batch_size,
+                          replace=False)
+        return Batch(self.obs[pick], self.idx[pick], self.rew[pick],
+                     self.next[pick], self.term[pick])
+
+
+def _assert_same_batch(got, want):
+    for name in ("obs", "action_indices", "rewards", "next_obs", "terminal"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _block_stream(seed, capacity, max_steps=6, blocks=60, n=2, d=3):
+    """The put calls of train's blocks, over random data.
+
+    Blocks are laid out as train lays them out, towards update steps drawn
+    at random: world after world, the first one carrying on a cut episode,
+    each block at most capacity steps. A world reaches the goal at random;
+    the worlds after the first such world stop with it and are dropped, and
+    the next block starts after the goal. Yields ("put", call) per
+    lock-step iteration and ("block", info) after each block.
+    """
+    rng = np.random.default_rng(seed)
+    total, episode, carry = 0, 0, None  # carry: (steps played, observation)
+    update_at = 0
+    for _ in range(blocks):
+        if update_at <= total:
+            update_at = total + int(rng.integers(1, 2 * capacity))
+        end = min(update_at, total + capacity)
+        carried = carry is not None
+        worlds = []  # (episode, first step, steps played before)
+        obs, played, ends_at, goal = [], [], [], []
+        cursor = total
+        while cursor < end:
+            before, o = carry or (0, rng.normal(size=(n, d)))
+            carry = None
+            budget = min(max_steps - before, end - cursor)
+            reaches = bool(rng.random() < 0.2)
+            worlds.append((episode + len(worlds), cursor, before))
+            obs.append(o)
+            played.append(int(rng.integers(1, budget + 1)) if reaches
+                          else budget)
+            goal.append(reaches)
+            ends_at.append(played[-1] if reaches or before + budget
+                           == max_steps else None)
+            cursor += budget
+        g = goal.index(True) if any(goal) else len(worlds) - 1
+        for k in range(g + 1, len(worlds)):
+            played[k] = min(played[k], played[g])
+        for t in range(max(played)):
+            live = [k for k in range(len(worlds)) if played[k] > t]
+            done = np.array([ends_at[k] == t + 1 for k in live])
+            call = dict(
+                steps=np.array([worlds[k][1] + t for k in live]),
+                episodes=np.array([worlds[k][0] for k in live]),
+                obs=np.stack([obs[k] for k in live]),
+                action_indices=rng.integers(5, size=(len(live), n)),
+                rewards=rng.normal(size=(len(live), n)),
+                next_obs=rng.normal(size=(len(live), n, d)),
+                terminal=done & np.array([goal[k] for k in live]),
+                done=done, first=t == 0)
+            yield "put", call
+            for j, k in enumerate(live):
+                obs[k] = call["next_obs"][j]
+        ep, first, before = worlds[g]
+        total = first + played[g]
+        if ends_at[g] is not None:
+            episode = ep + 1
+        else:
+            episode, carry = ep, (before + played[g], obs[g])
+        yield "block", dict(total=total, update=total == update_at,
+                            carried=carried, rewound=g < len(worlds) - 1)
+
+
+@pytest.mark.parametrize("capacity", [5, 17])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_put_stream_samples_as_two_arrays(seed, capacity):
+    """Each observation stored once, sample returns the bytes the plain
+    two-array layout gives, through goal ends, timeouts, cut episodes,
+    goal rewinds and wraps of the ring; only episode ends write final
+    rows."""
+    n, d, m = 2, 3, 4
+    buf, ref = ReplayBuffer(capacity, n, d), _TwoArrayBuffer(capacity, n, d)
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    rows = capacity + 1
+    seen = dict(goal=0, timeout=0, carried=0, rewound=0, samples=0)
+    for kind, event in _block_stream(seed, capacity, n=n, d=d):
+        if kind == "block":
+            seen["carried"] += event["carried"]
+            seen["rewound"] += event["rewound"]
+            buf.seek(event["total"])
+            ref.total = event["total"]
+            if event["update"] and len(buf) >= m:
+                _assert_same_batch(buf.sample(m, got_rng),
+                                   ref.sample(m, want_rng))
+                seen["samples"] += 1
+            continue
+        done, terminal = event["done"], event["terminal"]
+        seen["goal"] += int(terminal.sum())
+        seen["timeout"] += int((done & ~terminal).sum())
+        finals = buf._obs[rows:].copy()
+        buf.put(event["steps"], event["episodes"], event["action_indices"],
+                event["rewards"], event["next_obs"], terminal, done,
+                event["obs"] if event["first"] else None)
+        ref.put(event["steps"], event["obs"], event["action_indices"],
+                event["rewards"], event["next_obs"], terminal)
+        written = np.flatnonzero((buf._obs[rows:] != finals).any(axis=(1, 2)))
+        assert written.tolist() == sorted(event["episodes"][done] % rows)
+    assert ref.total > 2 * capacity  # the ring wrapped more than once
+    assert seen["samples"] >= 5
+    assert min(seen.values()) > 0, seen
+
+
+def test_push_samples_as_two_arrays(rng):
+    buf, ref = ReplayBuffer(7, 2, 3), _TwoArrayBuffer(7, 2, 3)
+    for k in range(30):
+        tr = Transition(rng.normal(size=(2, 3)), rng.integers(5, size=2),
+                        rng.normal(size=2), rng.normal(size=(2, 3)),
+                        bool(k % 4 == 0))
+        buf.push(tr)
+        ref.push(tr)
+        if k >= 3:
+            _assert_same_batch(buf.sample(4, np.random.default_rng(k)),
+                               ref.sample(4, np.random.default_rng(k)))
+
+
 class TestSelectAction:
     def _actor_with_logits(self, logits):
         w = np.zeros((5, 3))
