@@ -13,9 +13,17 @@ Run layout (one directory per run under --out):
         report.json            phase segments and dominance pattern
         charts/*.svg           optional, with --svg
 
-Exit codes: 0 success, 2 usage/config errors, 3 checkpoint/scenario
-incompatibility, 4 training divergence, 5 replay/validation failure,
-6 sweep finished with per-seed failures. HLAB_THREADS > 1 runs sweep seeds
+Each agent_<i>.json holds the agent label, then the actor, critic, target
+actor and target critic, each as {"head", "dims", "f64"}: dims is
+[in_dim, *hidden, out_dim] and f64 the base64 of the flattened parameters
+as little-endian float64. analyze reads every member through
+maddpg.load_checkpoint and checks it; a checkpoint in the old decimal
+layout (w/b lists) is rejected with exit 2.
+
+Exit codes: 0 success, 2 usage/config errors (an unusable path or an
+undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
+4 training divergence, 5 replay/validation failure, 6 sweep finished with
+per-seed failures. HLAB_THREADS > 1 runs sweep seeds
 in a process pool. A run is deterministic for a given build and BLAS thread
 count: numpy's BLAS may use every core, and checkpoint bytes can change with
 the thread count, so pin OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) when
@@ -144,7 +152,7 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     return maddpg.TrainConfig.from_json_dict(doc)
 
 
-def _check_compatibility(nets: list[maddpg.ActorCritic],
+def _check_compatibility(nets: list[maddpg.AgentNets],
                          scenario: world.ScenarioConfig) -> None:
     n = scenario.n_agents
     if len(nets) != n:
@@ -157,9 +165,9 @@ def _check_compatibility(nets: list[maddpg.ActorCritic],
                 f"agent {i + 1} actor expects {a.actor.in_dim}-dim input, "
                 f"scenario {scenario.scenario_id!r} observations are "
                 f"{scenario.obs_dim}-dim")
-        if a.critic_in_dim != scenario.joint_dim:
+        if a.critic.in_dim != scenario.joint_dim:
             raise IncompatibilityError(
-                f"agent {i + 1} critic expects {a.critic_in_dim}-dim input, "
+                f"agent {i + 1} critic expects {a.critic.in_dim}-dim input, "
                 f"scenario joint input is {scenario.joint_dim}-dim")
 
 
@@ -231,7 +239,7 @@ def _write_manifest(run_dir: str, manifest: dict) -> None:
         json.dump(manifest, fp, indent=2)
 
 
-def _analyze_into(run_dir: str, nets: list[maddpg.ActorCritic],
+def _analyze_into(run_dir: str, nets: list[maddpg.AgentNets],
                   scenario: world.ScenarioConfig, *, seed: int | None,
                   svg: bool, rollouts: int, min_segment_length: int,
                   checkpoint_ref: str | None) -> dict:
@@ -303,7 +311,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--rollouts must be at least 1")
     if args.min_segment_length < 0:
         raise ValueError("--min-segment-length must be nonnegative")
-    nets = maddpg.load_actor_critics(args.checkpoint)
+    nets = maddpg.load_checkpoint(args.checkpoint)
     scenario = world.build_scenario(args.scenario)
     run_id = args.run_id or f"analyze-{scenario.scenario_id}"
     run_dir = os.path.join(args.out, run_id)
@@ -343,10 +351,8 @@ def _sweep_worker(payload: dict) -> dict:
         run_dir, result, manifest = _train_run(
             config, payload["out"], payload["run_id"],
             payload["checkpoint_every"], quiet=True)
-        pairs = [maddpg.ActorCritic(a.actor, a.critic.in_dim)
-                 for a in result.nets]
         summary = _analyze_into(
-            run_dir, pairs, result.scenario, seed=config.seed,
+            run_dir, result.nets, result.scenario, seed=config.seed,
             svg=payload["svg"], rollouts=1,
             min_segment_length=payload["min_segment_length"],
             checkpoint_ref=os.path.join("checkpoints", "final"))
@@ -504,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -24,7 +24,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,14 +141,15 @@ def epsilon_for_episode(episode: int, config: TrainConfig) -> float:
 
 @dataclass
 class AgentNets:
-    """One agent's networks and optimizers."""
+    """One agent's networks and optimizers. A loaded checkpoint has no
+    optimizers: Adam's moments are not saved, so it cannot be trained on."""
 
     actor: MlpParams
     critic: MlpParams
     target_actor: MlpParams
     target_critic: MlpParams
-    actor_opt: OptimizerState
-    critic_opt: OptimizerState
+    actor_opt: OptimizerState | None = None
+    critic_opt: OptimizerState | None = None
 
     @classmethod
     def create(cls, obs_dim: int, joint_dim: int, hidden: Sequence[int],
@@ -790,8 +791,8 @@ class Trajectory:
                                    self.action_indices, self.rewards)
 
 
-def _actor_list(nets: Sequence[AgentNets] | Sequence[ActorCritic]
-                | Sequence[MlpParams]) -> list[MlpParams]:
+def _actor_list(nets: Sequence[AgentNets] | Sequence[MlpParams]
+                ) -> list[MlpParams]:
     return [a if isinstance(a, MlpParams) else a.actor for a in nets]
 
 
@@ -882,20 +883,7 @@ def save_checkpoint(nets: Sequence[AgentNets], dirpath) -> list[str]:
     return paths
 
 
-_CRITIC_KEYS = ("agent", "actor", "critic")
-_ALL_KEYS = _CRITIC_KEYS + ("target_actor", "target_critic")
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_DECODE = json.JSONDecoder().raw_decode
-# the scanner still checks every token, but a float decodes to the length of
-# its text: no float object is built
-_SKIM = json.JSONDecoder(parse_float=len).raw_decode
-
-
-class ActorCritic(NamedTuple):
-    """The part of a checkpointed agent that analysis reads."""
-
-    actor: MlpParams
-    critic_in_dim: int
+_NETS = ("actor", "critic", "target_actor", "target_critic")
 
 
 def _agent_files(dirpath) -> list[str]:
@@ -910,112 +898,41 @@ def _agent_files(dirpath) -> list[str]:
     return [os.path.join(dirpath, f) for f in files]
 
 
-def _check_agent_doc(path: str, k: int, doc: dict,
-                     keys: Sequence[str]) -> None:
-    """The k-th file must carry label k and every member in keys."""
-    fname = os.path.basename(path)
+def _check_agent_doc(fname: str, k: int, doc) -> None:
+    """The k-th file must be an object carrying label k and every network."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{fname} holds no JSON object")
     if doc.get("agent") != k:
         raise ValueError(f"{fname} carries agent label {doc.get('agent')}, "
                          f"expected {k}")
-    missing = [key for key in keys if key not in doc]
+    missing = [key for key in _NETS if key not in doc]
     if missing:
         raise ValueError(f"{fname} lacks {', '.join(missing)}")
 
 
-def _leading_members(text: str, keys: Sequence[str],
-                     exact: Sequence[str]) -> dict:
-    """Top-level members of the JSON object in text, decoded in file order.
-
-    Members named in exact are decoded in full. Every other member is
-    skimmed: its JSON is checked, but each float in it decodes to the length
-    of its text. Stops as soon as every key in keys has been read, so what
-    follows those members is never parsed, nor checked. Without them all, it
-    reads up to the object's end.
-    """
-    skip = _JSON_SPACE.match
-    doc: dict = {}
-    pos = skip(text).end()
-    if not text.startswith("{", pos):
-        raise json.JSONDecodeError("Expecting '{'", text, pos)
-    pos = skip(text, pos + 1).end()
-    end = text.startswith("}", pos)
-    while not end and not all(key in doc for key in keys):
-        key, pos = _DECODE(text, pos)
-        if not isinstance(key, str):
-            raise json.JSONDecodeError("Expecting property name", text, pos)
-        pos = skip(text, pos).end()
-        if not text.startswith(":", pos):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        decode = _DECODE if key in exact else _SKIM
-        doc[key], pos = decode(text, skip(text, pos + 1).end())
-        pos = skip(text, pos).end()
-        end = text.startswith("}", pos)
-        if not end and not text.startswith(",", pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos = skip(text, pos + 1).end()
-    return doc
-
-
-def _skimmed_in_dim(net: dict, name: str) -> int:
-    """Input width of a skimmed network member, once its shape is checked.
-
-    Each layer's weights must be a non-empty list of rows of one length, with
-    one bias per row. The numbers themselves are not checked.
-    """
-    layers = net["layers"]
-    if not layers:
-        raise ValueError(f"{name} has no layers")
-    for layer in layers:
-        w, b = layer["w"], layer["b"]
-        if not (isinstance(w, list) and w and isinstance(b, list)
-                and len(b) == len(w) and all(isinstance(r, list) for r in w)
-                and len(set(map(len, w))) == 1):
-            raise ValueError(f"{name} has a layer that is not a rectangular "
-                             f"weight matrix with one bias per row")
-    return len(layers[0]["w"][0])
-
-
-def load_actor_critics(dirpath) -> list[ActorCritic]:
-    """Each agent's actor, and its critic's input width.
-
-    Analysis runs the actors only. The critic is skimmed: its JSON and layer
-    shapes are checked and its input width is read, but none of its numbers
-    is converted. save_checkpoint writes the target networks after the
-    critic, so they are never parsed. A file in another valid JSON layout or
-    key order reads the same, though target networks written before agent,
-    actor and critic are then skimmed too. A wrong but well-formed number in
-    a critic or a target network goes unnoticed here; load_checkpoint
-    converts and checks every member.
-    """
-    out = []
-    for k, path in enumerate(_agent_files(dirpath), start=1):
-        with open(path) as fp:
-            doc = _leading_members(fp.read(), _CRITIC_KEYS,
-                                   exact=("agent", "actor"))
-        _check_agent_doc(path, k, doc, _CRITIC_KEYS)
-        name = f"{os.path.basename(path)} critic"
-        out.append(ActorCritic(MlpParams.from_json_dict(doc["actor"]),
-                               _skimmed_in_dim(doc["critic"], name)))
-    return out
-
-
 def load_checkpoint(dirpath) -> list[AgentNets]:
-    """Every network of each agent, with fresh optimizers at the default
-    learning rates."""
+    """Every network of each agent, without optimizers.
+
+    Every member is decoded and checked: its head, its layer widths and a
+    float64 payload that fills them exactly. A file in any JSON layout or
+    key order reads the same; one in the old decimal layout is rejected.
+    """
     nets = []
     for k, path in enumerate(_agent_files(dirpath), start=1):
+        fname = os.path.basename(path)
         with open(path) as fp:
-            doc = json.load(fp)
-        _check_agent_doc(path, k, doc, _ALL_KEYS)
-        actor = MlpParams.from_json_dict(doc["actor"])
-        critic = MlpParams.from_json_dict(doc["critic"])
-        nets.append(AgentNets(
-            actor=actor,
-            critic=critic,
-            target_actor=MlpParams.from_json_dict(doc["target_actor"]),
-            target_critic=MlpParams.from_json_dict(doc["target_critic"]),
-            actor_opt=OptimizerState.for_params(actor, TrainConfig.lr_actor),
-            critic_opt=OptimizerState.for_params(critic,
-                                                 TrainConfig.lr_critic),
-        ))
+            try:
+                doc = json.load(fp)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{fname} is not valid JSON: {exc}") from exc
+        _check_agent_doc(fname, k, doc)
+        params = {}
+        for key in _NETS:
+            try:
+                params[key] = MlpParams.from_json_dict(doc[key])
+            except KeyError as exc:
+                raise ValueError(f"{fname} {key} lacks {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{fname} {key}: {exc}") from exc
+        nets.append(AgentNets(**params))
     return nets

@@ -16,6 +16,7 @@ z > 0 (also at -0.0 and NaN).
 """
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -67,19 +68,39 @@ class MlpParams:
             k += b.size
 
     def to_json_dict(self) -> dict:
+        """head, dims = [in_dim, *hidden, out_dim], and f64: the base64 of
+        flatten() as little-endian float64, so every value reads back bit
+        for bit."""
+        flat = self.flatten().astype("<f8", copy=False)
         return {
             "head": self.head,
-            "layers": [
-                {"w": w.tolist(), "b": b.tolist()}
-                for w, b in zip(self.weights, self.biases)
-            ],
+            "dims": [self.in_dim, *(w.shape[0] for w in self.weights)],
+            "f64": binascii.b2a_base64(flat, newline=False).decode("ascii"),
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MlpParams":
-        weights = [np.array(layer["w"], dtype=float) for layer in doc["layers"]]
-        biases = [np.array(layer["b"], dtype=float) for layer in doc["layers"]]
-        return cls(weights, biases, doc["head"])
+        if "layers" in doc:
+            raise ValueError("holds w/b lists, the old decimal checkpoint "
+                             "layout, which is no longer read")
+        head, dims = doc["head"], doc["dims"]
+        if head not in ("linear", "softmax"):
+            raise ValueError(f"unknown head {head!r}")
+        if not (isinstance(dims, list) and len(dims) >= 2 and all(
+                type(d) is int and d >= 1 for d in dims)):
+            raise ValueError(f"dims must be a list of at least two positive "
+                             f"integers, got {dims!r}")
+        raw = binascii.a2b_base64(doc["f64"], strict_mode=True)
+        need = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
+        if len(raw) != 8 * need:
+            # checked before allocating, so that huge dims cannot exhaust
+            # memory
+            raise ValueError(f"f64 holds {len(raw)} bytes, dims {dims} "
+                             f"need {8 * need}")
+        params = cls([np.empty((o, i)) for i, o in zip(dims, dims[1:])],
+                     [np.empty(o) for o in dims[1:]], head)
+        params.assign_flat(np.frombuffer(raw, dtype="<f8"))
+        return params
 
 
 def init_params(in_dim: int, hidden: Sequence[int], out_dim: int, head: Head,

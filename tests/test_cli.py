@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hlab import charts, cli, maddpg, world
+from hlab.nn import MlpParams
 
 
 TINY = ["--episodes", "2", "--max-episode-length", "8",
@@ -230,8 +231,11 @@ class TestAnalyzeCommand:
         run_dir = run_train(tmp_path)
         path = run_dir / "checkpoints/final/agent_2.json"
         doc = json.loads(path.read_text())
-        layer = doc["critic"]["layers"][0]
-        layer["w"] = [row + [0.0] for row in layer["w"]]
+        critic = MlpParams.from_json_dict(doc["critic"])
+        w = critic.weights[0]
+        critic.weights[0] = np.hstack([w, np.zeros((w.shape[0], 1))])
+        doc["critic"] = critic.to_json_dict()
+        assert doc["critic"]["dims"][0] == w.shape[1] + 1
         path.write_text(json.dumps(doc))
         rc = cli.main(["analyze",
                        "--checkpoint", str(run_dir / "checkpoints/final"),
@@ -255,7 +259,7 @@ class TestAnalyzeCommand:
         def no_load(path):
             raise AssertionError("checkpoint loaded")
 
-        monkeypatch.setattr(maddpg, "load_actor_critics", no_load)
+        monkeypatch.setattr(maddpg, "load_checkpoint", no_load)
         rc = cli.main(["analyze",
                        "--checkpoint", str(run_dir / "checkpoints/final"),
                        "--out", str(tmp_path), "--run-id", "an1",
@@ -508,6 +512,29 @@ class TestParser:
                                   env=run_env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert "train" in proc.stdout and "replay" in proc.stdout
+
+
+@pytest.mark.parametrize("case", ["checkpoint_is_a_file",
+                                  "replay_of_a_directory",
+                                  "config_is_a_directory",
+                                  "out_is_a_file"])
+def test_path_of_the_wrong_type_exits_2(tmp_path, capsys, case):
+    run_dir = run_train(tmp_path)
+    agent = str(run_dir / "checkpoints/final/agent_1.json")
+    final = str(run_dir / "checkpoints/final")
+    argv, path = {
+        "checkpoint_is_a_file": (["analyze", "--checkpoint", agent,
+                                  "--out", str(tmp_path)], agent),
+        "replay_of_a_directory": (["replay", final], final),
+        "config_is_a_directory": (["train", "--config", final,
+                                   "--out", str(tmp_path)], final),
+        "out_is_a_file": (["analyze", "--checkpoint", final,
+                           "--out", agent], agent),
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
 
 
 class TestCharts:

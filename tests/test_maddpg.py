@@ -1,15 +1,15 @@
 """Trainer tests. Update-rule gradients are checked against finite
 differences through the full actor-critic chain."""
+import binascii
 import json
 import os
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import FD_H, min_preactivation_gap, rel_error
-from hlab import maddpg, nn, world
+from hlab import cli, maddpg, nn, world
 from hlab.maddpg import (
     AgentNets,
     Batch,
@@ -784,6 +784,9 @@ class TestRewardLogAndCheckpoints:
         with pytest.raises(FileNotFoundError):
             maddpg.load_checkpoint(tmp_path / "missing")
 
+    # every bad checkpoint is turned away by the loader and by hlab analyze
+    LOADERS = ("load_checkpoint", "analyze")
+
     @pytest.fixture
     def saved(self, tmp_path):
         res = train(tiny_config())
@@ -791,34 +794,41 @@ class TestRewardLogAndCheckpoints:
         return res.nets, paths
 
     @staticmethod
-    def _same_actor_critics(got, nets):
-        """load_checkpoint: actors and critics, number for number."""
+    def _same_nets(got, nets):
+        """load_checkpoint: every network bit for bit, in writable arrays."""
         assert len(got) == len(nets)
         for g, a in zip(got, nets):
             assert g.actor.head == "softmax" and g.critic.head == "linear"
-            assert np.array_equal(g.actor.flatten(), a.actor.flatten())
-            assert np.array_equal(g.critic.flatten(), a.critic.flatten())
+            for key in ("actor", "critic", "target_actor", "target_critic"):
+                mine, theirs = getattr(g, key), getattr(a, key)
+                assert mine.head == theirs.head
+                assert len(mine.weights) == len(theirs.weights)
+                for x, y in zip(mine.weights + mine.biases,
+                                theirs.weights + theirs.biases):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert x.flags.writeable
 
-    @staticmethod
-    def _same_actors(got, nets):
-        """load_actor_critics: actors bit for bit, and each critic's width."""
-        assert len(got) == len(nets)
-        for g, a in zip(got, nets):
-            assert g.actor.head == "softmax"
-            assert len(g.actor.weights) == len(a.actor.weights)
-            for mine, theirs in zip(g.actor.weights + g.actor.biases,
-                                    a.actor.weights + a.actor.biases):
-                assert mine.shape == theirs.shape
-                assert mine.tobytes() == theirs.tobytes()
-            assert g.critic_in_dim == a.critic.in_dim
-
-    def test_actor_critic_loader_matches_saved_nets(self, saved):
-        nets, paths = saved
-        self._same_actors(
-            maddpg.load_actor_critics(os.path.dirname(paths[0])), nets)
+    def test_checkpoint_round_trip_is_bit_exact(self, tmp_path):
+        nets = train(tiny_config()).nets
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                             np.nan, np.nan])
+        specials.view(np.uint64)[-1] = 0x7FF8000000000123  # NaN with payload
+        nets[0].actor.weights[0].flat[:8] = specials
+        nets[1].critic.biases[0][:8] = specials[::-1]
+        nets[2].target_actor.weights[-1].flat[-8:] = specials
+        nets[0].target_critic.weights[0].flat[3:11] = specials
+        first = maddpg.save_checkpoint(nets, tmp_path / "one")
+        second = maddpg.save_checkpoint(nets, tmp_path / "two")
+        for p, q in zip(first, second):
+            with open(p, "rb") as fp, open(q, "rb") as fq:
+                assert fp.read() == fq.read()
+        loaded = maddpg.load_checkpoint(tmp_path / "one")
+        self._same_nets(loaded, nets)
+        assert all(a.actor_opt is None and a.critic_opt is None
+                   for a in loaded)
 
     @pytest.mark.parametrize("layout", ["indent", "reordered"])
-    def test_actor_critic_loader_reads_any_json_layout(self, saved, layout):
+    def test_checkpoint_reads_any_json_layout(self, saved, layout):
         nets, paths = saved
         for path in paths:
             with open(path) as fp:
@@ -831,112 +841,111 @@ class TestRewardLogAndCheckpoints:
                 text = json.dumps({k: doc[k] for k in order})
             with open(path, "w") as fp:
                 fp.write(text)
-        ckpt = os.path.dirname(paths[0])
-        self._same_actors(maddpg.load_actor_critics(ckpt), nets)
-        self._same_actor_critics(maddpg.load_checkpoint(ckpt), nets)
+        self._same_nets(maddpg.load_checkpoint(os.path.dirname(paths[0])),
+                        nets)
 
-    def test_actor_critic_loader_skips_target_networks(self, saved):
-        # damage after the critic is never parsed here; the full loader
-        # still rejects the file
-        nets, paths = saved
-        with open(paths[1]) as fp:
-            text = fp.read()
-        cut = text.index('"target_actor"') + 40
-        with open(paths[1], "w") as fp:
-            fp.write(text[:cut])
+    @staticmethod
+    def _rejection(loader, paths, capsys) -> str:
+        """The message with which loader turns the checkpoint away: a
+        ValueError from load_checkpoint, or hlab analyze's exit 2."""
         ckpt = os.path.dirname(paths[0])
-        self._same_actors(maddpg.load_actor_critics(ckpt), nets)
-        with pytest.raises(ValueError):
-            maddpg.load_checkpoint(ckpt)
+        if loader == "load_checkpoint":
+            with pytest.raises(ValueError) as info:
+                maddpg.load_checkpoint(ckpt)
+            return str(info.value)
+        out = os.path.join(os.path.dirname(ckpt), "out")
+        capsys.readouterr()
+        assert cli.main(["analyze", "--checkpoint", ckpt,
+                         "--out", out]) == cli.EXIT_USAGE
+        assert not os.path.exists(out)
+        return capsys.readouterr().err
 
-    def test_actor_critic_loader_ignores_critic_values(self, saved):
-        # the critic's numbers are checked as JSON but never converted, so
-        # other valid floats in their place load the same actors
-        nets, paths = saved
-        with open(paths[0]) as fp:
+    @staticmethod
+    def _rewrite(path, edit) -> None:
+        with open(path) as fp:
             doc = json.load(fp)
-        for layer in doc["critic"]["layers"]:
-            layer["w"] = [[-1.5e300] * len(row) for row in layer["w"]]
-            layer["b"] = [0.25] * len(layer["b"])
-        with open(paths[0], "w") as fp:
+        edit(doc)
+        with open(path, "w") as fp:
             fp.write(json.dumps(doc))
-        self._same_actors(
-            maddpg.load_actor_critics(os.path.dirname(paths[0])), nets)
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_malformed_critic_number(self, saved, loader):
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_malformed_critic_number(self, saved, capsys,
+                                                    loader):
         _nets, paths = saved
-        with open(paths[1]) as fp:
-            text = fp.read()
-        start = text.index('"critic"')
-        number = re.compile(r"-?\d+\.\d+(e-?\d+)?").search(text, start)
-        with open(paths[1], "w") as fp:
-            fp.write(text[:number.start()] + "1.2.3" + text[number.end():])
-        with pytest.raises(ValueError):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_critic_cut_mid_array(self, saved, loader):
+        def edit(doc):
+            f64 = doc["critic"]["f64"]
+            doc["critic"]["f64"] = f64[:40] + "*" + f64[41:]
+        self._rewrite(paths[1], edit)
+        assert "agent_2.json critic:" in self._rejection(loader, paths,
+                                                          capsys)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_critic_cut_mid_array(self, saved, capsys,
+                                                 loader):
         _nets, paths = saved
         with open(paths[0]) as fp:
             text = fp.read()
         start = text.index('"critic"')
         cut = (start + text.index('"target_actor"')) // 2
-        assert text[cut - 1] not in "}]"
+        assert text[cut - 1] not in '}]"'
         with open(paths[0], "w") as fp:
             fp.write(text[:cut])
-        with pytest.raises(ValueError):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+        assert "agent_1.json is not valid JSON" in self._rejection(
+            loader, paths, capsys)
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_ragged_critic(self, saved, loader):
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_ragged_critic(self, saved, capsys, loader):
+        # a payload one value short of what dims need
         _nets, paths = saved
-        with open(paths[2]) as fp:
-            doc = json.load(fp)
-        doc["critic"]["layers"][0]["w"][-1].append(0.5)
-        with open(paths[2], "w") as fp:
-            fp.write(json.dumps(doc))
-        with pytest.raises(ValueError):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_truncated_file(self, saved, loader):
+        def edit(doc):
+            raw = binascii.a2b_base64(doc["critic"]["f64"])
+            doc["critic"]["f64"] = binascii.b2a_base64(
+                raw[:-8], newline=False).decode("ascii")
+        self._rewrite(paths[2], edit)
+        assert "agent_3.json critic: f64 holds" in self._rejection(
+            loader, paths, capsys)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_truncated_file(self, saved, capsys, loader):
         _nets, paths = saved
         with open(paths[0]) as fp:
             text = fp.read()
         with open(paths[0], "w") as fp:
             fp.write(text[:text.index('"critic"') + 30])
-        with pytest.raises(ValueError):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+        assert "agent_1.json is not valid JSON" in self._rejection(
+            loader, paths, capsys)
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_wrong_agent_label(self, saved, loader):
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_wrong_agent_label(self, saved, capsys, loader):
         _nets, paths = saved
-        with open(paths[2]) as fp:
-            doc = json.load(fp)
-        doc["agent"] = 2
-        with open(paths[2], "w") as fp:
-            fp.write(json.dumps(doc))
-        with pytest.raises(ValueError, match="agent_3.json carries agent "
-                                             "label 2, expected 3"):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+        self._rewrite(paths[2], lambda doc: doc.update(agent=2))
+        assert "agent_3.json carries agent label 2, expected 3" in \
+            self._rejection(loader, paths, capsys)
 
-    @pytest.mark.parametrize("loader", ["load_checkpoint",
-                                        "load_actor_critics"])
-    def test_loaders_reject_missing_member(self, saved, loader):
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_missing_member(self, saved, capsys, loader):
         _nets, paths = saved
-        with open(paths[0]) as fp:
-            doc = json.load(fp)
-        del doc["critic"]
-        with open(paths[0], "w") as fp:
-            fp.write(json.dumps(doc))
-        with pytest.raises(ValueError, match="agent_1.json lacks critic"):
-            getattr(maddpg, loader)(os.path.dirname(paths[0]))
+        self._rewrite(paths[0], lambda doc: doc.pop("critic"))
+        assert "agent_1.json lacks critic" in self._rejection(loader, paths,
+                                                               capsys)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_decimal_layout(self, saved, capsys, loader):
+        # the layout checkpoints had before f64: w/b lists of decimal floats
+        nets, paths = saved
+        actor = nets[1].target_actor
+
+        def edit(doc):
+            doc["target_actor"] = {
+                "head": actor.head,
+                "layers": [{"w": w.tolist(), "b": b.tolist()}
+                           for w, b in zip(actor.weights, actor.biases)]}
+        self._rewrite(paths[1], edit)
+        err = self._rejection(loader, paths, capsys)
+        assert "agent_2.json target_actor: holds w/b lists, the old " \
+               "decimal checkpoint layout" in err
 
 
 # ---------------------------------------------------------------------------
