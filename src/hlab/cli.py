@@ -510,7 +510,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except OSError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # an unusable path; other OS errors (a full disk, EIO) propagate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

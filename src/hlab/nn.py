@@ -16,7 +16,7 @@ z > 0 (also at -0.0 and NaN).
 """
 from __future__ import annotations
 
-import binascii
+import base64
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -75,7 +75,7 @@ class MlpParams:
         return {
             "head": self.head,
             "dims": [self.in_dim, *(w.shape[0] for w in self.weights)],
-            "f64": binascii.b2a_base64(flat, newline=False).decode("ascii"),
+            "f64": base64.b64encode(flat).decode("ascii"),
         }
 
     @classmethod
@@ -90,7 +90,8 @@ class MlpParams:
                 type(d) is int and d >= 1 for d in dims)):
             raise ValueError(f"dims must be a list of at least two positive "
                              f"integers, got {dims!r}")
-        raw = binascii.a2b_base64(doc["f64"], strict_mode=True)
+        # validate=True rejects any character outside the base64 alphabet
+        raw = base64.b64decode(doc["f64"], validate=True)
         need = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
         if len(raw) != 8 * need:
             # checked before allocating, so that huge dims cannot exhaust

@@ -1,5 +1,6 @@
 """End-to-end command tests through main(argv), plus chart rendering."""
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -535,6 +536,16 @@ def test_path_of_the_wrong_type_exits_2(tmp_path, capsys, case):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+
+
+def test_other_os_errors_are_not_usage_errors(tmp_path, monkeypatch):
+    def disk_full(args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "cmd_replay", disk_full)
+    with pytest.raises(OSError) as info:
+        cli.main(["replay", str(tmp_path)])
+    assert info.value.errno == errno.ENOSPC
 
 
 class TestCharts:
