@@ -6,19 +6,22 @@ Run layout (one directory per run under --out):
         manifest.json          run metadata, config snapshot, artifact paths
         scenario.json          full geometry snapshot
         rewards.csv            episode, total_reward, smoothed_reward_w100
-        checkpoints/ep_<k>/    periodic network snapshots (agent_<i>.json)
+        checkpoints/ep_<k>/    periodic network snapshots (agent_<i>.json
+                               headers, agent_<i>.f64 payloads)
         checkpoints/final/     networks at termination
         trajectory.csv         greedy rollout log (analyze/sweep)
         trace.csv              per-step dependency values and sensitivities
         report.json            phase segments and dominance pattern
         charts/*.svg           optional, with --svg
 
-Each agent_<i>.json holds the agent label, then the actor, critic, target
-actor and target critic, each as {"head", "dims", "f64"}: dims is
-[in_dim, *hidden, out_dim] and f64 the base64 of the flattened parameters
-as little-endian float64. analyze reads every member through
-maddpg.load_checkpoint and checks it; a checkpoint in the old decimal
-layout (w/b lists) is rejected with exit 2.
+Each agent_<i>.json is a small header: the agent label, then the actor,
+critic, target actor and target critic, each as {"head", "dims"} with dims
+[in_dim, *hidden, out_dim]. agent_<i>.f64 beside it holds the four
+networks' flattened parameters, in that order, as raw little-endian
+float64. analyze reads both through maddpg.load_checkpoint, which checks
+every member and the payload's size; a missing or wrongly sized payload and
+a checkpoint in an old layout (decimal w/b lists, or base64 "f64" strings
+inside the JSON) are rejected with exit 2.
 
 Exit codes: 0 success, 2 usage/config errors (an unusable path or an
 undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
@@ -432,6 +435,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if not args.tol >= 0:  # NaN too: no error would compare <= NaN
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     scenario = world.build_scenario(args.scenario) if args.scenario else None
     try:
         result = world.replay_trajectory(args.trajectory, config=scenario,
@@ -466,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="greedy rollout + dependency analysis of a "
                                "checkpoint")
     p_an.add_argument("--checkpoint", required=True,
-                      help="directory holding agent_<k>.json files")
+                      help="directory holding agent_<k>.json headers and "
+                           "their agent_<k>.f64 payloads")
     p_an.add_argument("--scenario", choices=world.SCENARIO_IDS, default="a")
     p_an.add_argument("--seed", type=int, default=None,
                       help="seed recorded in outputs (provenance only)")
@@ -494,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rp.add_argument("trajectory", help="trajectory CSV path")
     p_rp.add_argument("--scenario", choices=world.SCENARIO_IDS, default=None,
                       help="override the scenario named in the log header")
-    p_rp.add_argument("--tol", type=float, default=1e-9)
+    p_rp.add_argument("--tol", type=float, default=1e-9,
+                      help="largest absolute error allowed (>= 0)")
     p_rp.set_defaults(func=cmd_replay)
     return parser
 

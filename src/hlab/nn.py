@@ -16,7 +16,6 @@ z > 0 (also at -0.0 and NaN).
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -66,42 +65,6 @@ class MlpParams:
             k += w.size
             b[...] = flat[k:k + b.size]
             k += b.size
-
-    def to_json_dict(self) -> dict:
-        """head, dims = [in_dim, *hidden, out_dim], and f64: the base64 of
-        flatten() as little-endian float64, so every value reads back bit
-        for bit."""
-        flat = self.flatten().astype("<f8", copy=False)
-        return {
-            "head": self.head,
-            "dims": [self.in_dim, *(w.shape[0] for w in self.weights)],
-            "f64": base64.b64encode(flat).decode("ascii"),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MlpParams":
-        if "layers" in doc:
-            raise ValueError("holds w/b lists, the old decimal checkpoint "
-                             "layout, which is no longer read")
-        head, dims = doc["head"], doc["dims"]
-        if head not in ("linear", "softmax"):
-            raise ValueError(f"unknown head {head!r}")
-        if not (isinstance(dims, list) and len(dims) >= 2 and all(
-                type(d) is int and d >= 1 for d in dims)):
-            raise ValueError(f"dims must be a list of at least two positive "
-                             f"integers, got {dims!r}")
-        # validate=True rejects any character outside the base64 alphabet
-        raw = base64.b64decode(doc["f64"], validate=True)
-        need = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
-        if len(raw) != 8 * need:
-            # checked before allocating, so that huge dims cannot exhaust
-            # memory
-            raise ValueError(f"f64 holds {len(raw)} bytes, dims {dims} "
-                             f"need {8 * need}")
-        params = cls([np.empty((o, i)) for i, o in zip(dims, dims[1:])],
-                     [np.empty(o) for o in dims[1:]], head)
-        params.assign_flat(np.frombuffer(raw, dtype="<f8"))
-        return params
 
 
 def init_params(in_dim: int, hidden: Sequence[int], out_dim: int, head: Head,

@@ -253,9 +253,12 @@ def test_train_determinism_and_replay(tmp_path):
         return out / "run"
 
     a, b = run("first"), run("second")
+    checkpoint_files = sorted(str(p.relative_to(a))
+                              for p in (a / "checkpoints").rglob("*")
+                              if p.is_file())
+    assert any(rel.endswith(".f64") for rel in checkpoint_files)
     compared = []
-    for rel in ["rewards.csv"] + sorted(
-            str(p.relative_to(a)) for p in (a / "checkpoints").rglob("*.json")):
+    for rel in ["rewards.csv"] + checkpoint_files:
         same = (a / rel).read_bytes() == (b / rel).read_bytes()
         compared.append((rel, same))
     mismatched = [rel for rel, same in compared if not same]

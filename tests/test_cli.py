@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hlab import charts, cli, maddpg, world
-from hlab.nn import MlpParams
 
 
 TINY = ["--episodes", "2", "--max-episode-length", "8",
@@ -160,9 +159,15 @@ class TestTrainCommand:
         d2 = run_train(tmp_path / "y", run_id="a2")
         assert (d1 / "rewards.csv").read_bytes() == \
             (d2 / "rewards.csv").read_bytes()
-        for k in (1, 2, 3):
-            assert (d1 / f"checkpoints/final/agent_{k}.json").read_bytes() \
-                == (d2 / f"checkpoints/final/agent_{k}.json").read_bytes()
+        files = sorted(str(p.relative_to(d1))
+                       for p in (d1 / "checkpoints").rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(d2))
+                               for p in (d2 / "checkpoints").rglob("*")
+                               if p.is_file())
+        assert [f for f in files if f.endswith(".f64")] == [
+            f"checkpoints/final/agent_{k}.f64" for k in (1, 2, 3)]
+        for rel in files:
+            assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
 
     def test_divergent_seed_changes_nothing_else(self, tmp_path):
         d1 = run_train(tmp_path, run_id="s3", seed="3")
@@ -230,14 +235,14 @@ class TestAnalyzeCommand:
 
     def test_wrong_critic_width_exits_3(self, tmp_path, capsys):
         run_dir = run_train(tmp_path)
-        path = run_dir / "checkpoints/final/agent_2.json"
-        doc = json.loads(path.read_text())
-        critic = MlpParams.from_json_dict(doc["critic"])
+        final = run_dir / "checkpoints/final"
+        nets = maddpg.load_checkpoint(final)
+        critic = nets[1].critic
         w = critic.weights[0]
         critic.weights[0] = np.hstack([w, np.zeros((w.shape[0], 1))])
-        doc["critic"] = critic.to_json_dict()
+        maddpg.save_checkpoint(nets, final)
+        doc = json.loads((final / "agent_2.json").read_text())
         assert doc["critic"]["dims"][0] == w.shape[1] + 1
-        path.write_text(json.dumps(doc))
         rc = cli.main(["analyze",
                        "--checkpoint", str(run_dir / "checkpoints/final"),
                        "--out", str(tmp_path)])
@@ -389,6 +394,20 @@ class TestReplayCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["replay", str(tmp_path / "none.csv")]) \
             == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        run_dir = run_train(tmp_path)
+        cli.main(["analyze", "--checkpoint",
+                  str(run_dir / "checkpoints/final"), "--out", str(tmp_path),
+                  "--run-id", "an5"])
+        path = str(tmp_path / "an5" / "trajectory.csv")
+        assert cli.main(["replay", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["replay", path, "--tol", tol]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be a number >= 0")
+        assert "replay failed" not in err
 
 
 class TestSweepCommand:

@@ -1,9 +1,11 @@
 """Trainer tests. Update-rule gradients are checked against finite
 differences through the full actor-critic chain."""
-import binascii
+import base64
 import json
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -767,18 +769,26 @@ class TestRewardLogAndCheckpoints:
                                   b.target_critic.flatten())
 
     def test_checkpoint_text_is_one_json_document(self, tmp_path):
+        # the header is one JSON document; the payload beside it is every
+        # member's flatten(), in header order, as raw little-endian float64
         res = train(tiny_config())
         paths = maddpg.save_checkpoint(res.nets, tmp_path / "ck")
+        keys = ("actor", "critic", "target_actor", "target_critic")
         for i, (a, path) in enumerate(zip(res.nets, paths), start=1):
-            doc = {
-                "agent": i,
-                "actor": a.actor.to_json_dict(),
-                "critic": a.critic.to_json_dict(),
-                "target_actor": a.target_actor.to_json_dict(),
-                "target_critic": a.target_critic.to_json_dict(),
-            }
+            members = [getattr(a, key) for key in keys]
+            doc = {"agent": i}
+            for key, p in zip(keys, members):
+                doc[key] = {"head": p.head,
+                            "dims": [p.in_dim] + [w.shape[0]
+                                                  for w in p.weights]}
+            assert path == str(tmp_path / "ck" / f"agent_{i}.json")
             with open(path) as fp:
                 assert fp.read() == json.dumps(doc)
+            assert (tmp_path / "ck" / f"agent_{i}.f64").read_bytes() \
+                == b"".join(p.flatten().astype("<f8").tobytes()
+                            for p in members)
+        assert sorted(os.listdir(tmp_path / "ck")) == [
+            f"agent_{i}.{ext}" for i in (1, 2, 3) for ext in ("f64", "json")]
 
     def test_checkpoint_rejects_bad_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -817,11 +827,14 @@ class TestRewardLogAndCheckpoints:
         nets[1].critic.biases[0][:8] = specials[::-1]
         nets[2].target_actor.weights[-1].flat[-8:] = specials
         nets[0].target_critic.weights[0].flat[3:11] = specials
-        first = maddpg.save_checkpoint(nets, tmp_path / "one")
-        second = maddpg.save_checkpoint(nets, tmp_path / "two")
-        for p, q in zip(first, second):
-            with open(p, "rb") as fp, open(q, "rb") as fq:
-                assert fp.read() == fq.read()
+        maddpg.save_checkpoint(nets, tmp_path / "one")
+        maddpg.save_checkpoint(nets, tmp_path / "two")
+        names = sorted(os.listdir(tmp_path / "one"))
+        assert names == sorted(os.listdir(tmp_path / "two"))
+        assert len(names) == 6
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() \
+                == (tmp_path / "two" / name).read_bytes(), name
         loaded = maddpg.load_checkpoint(tmp_path / "one")
         self._same_nets(loaded, nets)
         assert all(a.actor_opt is None and a.critic_opt is None
@@ -868,44 +881,84 @@ class TestRewardLogAndCheckpoints:
         with open(path, "w") as fp:
             fp.write(json.dumps(doc))
 
+    @staticmethod
+    def _payload(paths, k) -> Path:
+        return Path(paths[0]).with_name(f"agent_{k}.f64")
+
+    @staticmethod
+    def _critic_bytes(nets, k):
+        """Where agent k's critic lies in its payload, in bytes."""
+        start = 8 * nets[k - 1].actor.flatten().size
+        return start, start + 8 * nets[k - 1].critic.flatten().size
+
     @pytest.mark.parametrize("loader", LOADERS)
     def test_loaders_reject_malformed_critic_number(self, saved, capsys,
                                                     loader):
+        # a layer width written as a float
         _nets, paths = saved
 
         def edit(doc):
-            f64 = doc["critic"]["f64"]
-            doc["critic"]["f64"] = f64[:40] + "*" + f64[41:]
+            doc["critic"]["dims"][1] = float(doc["critic"]["dims"][1])
         self._rewrite(paths[1], edit)
-        assert "agent_2.json critic:" in self._rejection(loader, paths,
-                                                          capsys)
+        assert "agent_2.json critic: dims must be a list of at least two " \
+               "positive integers" in self._rejection(loader, paths, capsys)
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_loaders_reject_critic_cut_mid_array(self, saved, capsys,
                                                  loader):
-        _nets, paths = saved
-        with open(paths[0]) as fp:
-            text = fp.read()
-        start = text.index('"critic"')
-        cut = (start + text.index('"target_actor"')) // 2
-        assert text[cut - 1] not in '}]"'
-        with open(paths[0], "w") as fp:
-            fp.write(text[:cut])
-        assert "agent_1.json is not valid JSON" in self._rejection(
-            loader, paths, capsys)
+        nets, paths = saved
+        start, end = self._critic_bytes(nets, 1)
+        cut = (start + end) // 2 + 3  # inside the critic, inside a value
+        path = self._payload(paths, 1)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        assert f"agent_1.f64 holds {cut} bytes, the header's dims need " \
+               f"{len(raw)}" in self._rejection(loader, paths, capsys)
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_loaders_reject_ragged_critic(self, saved, capsys, loader):
-        # a payload one value short of what dims need
-        _nets, paths = saved
-
-        def edit(doc):
-            raw = binascii.a2b_base64(doc["critic"]["f64"])
-            doc["critic"]["f64"] = binascii.b2a_base64(
-                raw[:-8], newline=False).decode("ascii")
-        self._rewrite(paths[2], edit)
-        assert "agent_3.json critic: f64 holds" in self._rejection(
+        # a payload one value short: the critic's first value is missing
+        nets, paths = saved
+        start, _end = self._critic_bytes(nets, 3)
+        path = self._payload(paths, 3)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:start] + raw[start + 8:])
+        assert f"agent_3.f64 holds {len(raw) - 8} bytes" in self._rejection(
             loader, paths, capsys)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_one_byte_payload(self, saved, capsys, loader):
+        _nets, paths = saved
+        self._payload(paths, 2).write_bytes(b"\0")
+        assert "agent_2.f64 holds 1 bytes" in self._rejection(loader, paths,
+                                                             capsys)
+
+    def test_loaders_reject_missing_payload(self, saved, capsys):
+        _nets, paths = saved
+        path = self._payload(paths, 2)
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match="agent_2.f64"):
+            maddpg.load_checkpoint(path.parent)
+        out = path.parent.parent / "out"
+        capsys.readouterr()
+        assert cli.main(["analyze", "--checkpoint", str(path.parent),
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"dims": [200000, 200000, 3]}, "dims need"),  # 320 GB if allocated
+        ({"dims": [5, 0, 3]}, "positive integers"),
+        ({"dims": [5]}, "at least two"),
+        ({"head": "tanh"}, "unknown head"),
+    ], ids=["huge", "zero", "short", "head"])
+    def test_loader_rejects_a_network_it_cannot_build(self, saved, edit,
+                                                      message):
+        _nets, paths = saved
+        self._rewrite(paths[0], lambda doc: doc["critic"].update(edit))
+        with pytest.raises(ValueError, match=message) as info:
+            maddpg.load_checkpoint(os.path.dirname(paths[0]))
+        assert "agent_1." in str(info.value)
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_loaders_reject_truncated_file(self, saved, capsys, loader):
@@ -946,6 +999,49 @@ class TestRewardLogAndCheckpoints:
         err = self._rejection(loader, paths, capsys)
         assert "agent_2.json target_actor: holds w/b lists, the old " \
                "decimal checkpoint layout" in err
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loaders_reject_base64_layout(self, saved, capsys, loader):
+        # the layout checkpoints had before the payload files: each member
+        # held the base64 of its flatten() in an f64 string, no .f64 file
+        nets, paths = saved
+        for a, path in zip(nets, paths):
+            def edit(doc, a=a):
+                for key in ("actor", "critic", "target_actor",
+                            "target_critic"):
+                    doc[key]["f64"] = base64.b64encode(
+                        getattr(a, key).flatten()).decode("ascii")
+            self._rewrite(path, edit)
+            os.remove(os.path.splitext(path)[0] + ".f64")
+        err = self._rejection(loader, paths, capsys)
+        assert "agent_1.json actor: holds an f64 string, the old base64 " \
+               "checkpoint layout" in err
+
+    def test_agent_files_match_the_label_pattern(self, tmp_path):
+        # the files agent_\d+\.json names, with \d any Unicode decimal
+        # digit, sorted by integer label, each under its own name
+        names = ["agent_2.json", "agent_01.json", "agent_\u0661\u0660.json",
+                 "agent_x.json", "agent_.json", "agent_3.json.bak",
+                 "agent_3.f64", "xagent_4.json", "agent_\u00b2.json",
+                 "agent_-5.json", "agent_7"]
+        for name in names:
+            (tmp_path / name).write_text("{}")
+        want = sorted((n for n in names
+                       if re.fullmatch(r"agent_\d+\.json", n)),
+                      key=lambda n: int(re.findall(r"\d+", n)[0]))
+        assert want == ["agent_01.json", "agent_2.json",
+                        "agent_\u0661\u0660.json"]
+        assert maddpg._agent_files(tmp_path) == [str(tmp_path / n)
+                                                 for n in want]
+
+    def test_checkpoint_keeps_each_file_name(self, saved):
+        # agent_01.json reads its payload from agent_01.f64
+        nets, paths = saved
+        ckpt = os.path.dirname(paths[0])
+        for ext in ("json", "f64"):
+            os.rename(os.path.join(ckpt, f"agent_1.{ext}"),
+                      os.path.join(ckpt, f"agent_01.{ext}"))
+        self._same_nets(maddpg.load_checkpoint(ckpt), nets)
 
 
 # ---------------------------------------------------------------------------

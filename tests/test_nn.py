@@ -351,16 +351,3 @@ class TestSerialization:
         assert np.array_equal(q.flatten(), flat)
         with pytest.raises(ValueError, match="entries"):
             q.assign_flat(flat[:-1])
-
-    @pytest.mark.parametrize("edit, message", [
-        ({"dims": [200000, 200000, 3]}, "f64 holds"),  # 320 GB if allocated
-        ({"dims": [5, 0, 3]}, "positive integers"),
-        ({"dims": [5]}, "at least two"),
-        ({"head": "tanh"}, "unknown head"),
-    ])
-    def test_json_dict_rejects_a_network_it_cannot_build(self, rng, edit,
-                                                          message):
-        doc = {**nn.init_params(5, [4], 3, "linear", rng).to_json_dict(),
-               **edit}
-        with pytest.raises(ValueError, match=message):
-            nn.MlpParams.from_json_dict(doc)
