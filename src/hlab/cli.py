@@ -14,14 +14,9 @@ Run layout (one directory per run under --out):
         report.json            phase segments and dominance pattern
         charts/*.svg           optional, with --svg
 
-Each agent_<i>.json is a small header: the agent label, then the actor,
-critic, target actor and target critic, each as {"head", "dims"} with dims
-[in_dim, *hidden, out_dim]. agent_<i>.f64 beside it holds the four
-networks' flattened parameters, in that order, as raw little-endian
-float64. analyze reads both through maddpg.load_checkpoint, which checks
-every member and the payload's size; a missing or wrongly sized payload and
-a checkpoint in an old layout (decimal w/b lists, or base64 "f64" strings
-inside the JSON) are rejected with exit 2.
+analyze reads a checkpoint through maddpg.load_checkpoint, whose section
+in maddpg describes the format; a checkpoint it rejects, and one whose
+actors hold a NaN or infinite parameter, exit 2 before anything is written.
 
 Exit codes: 0 success, 2 usage/config errors (an unusable path or an
 undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
@@ -315,6 +310,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.min_segment_length < 0:
         raise ValueError("--min-segment-length must be nonnegative")
     nets = maddpg.load_checkpoint(args.checkpoint)
+    for k, a in enumerate(nets, start=1):
+        if not np.isfinite(a.actor.flatten()).all():
+            raise ValueError(f"agent {k} actor has non-finite parameters")
     scenario = world.build_scenario(args.scenario)
     run_id = args.run_id or f"analyze-{scenario.scenario_id}"
     run_dir = os.path.join(args.out, run_id)

@@ -37,59 +37,57 @@ PATTERN_PERSISTENT = "persistent_dominance"
 PATTERN_ALTERNATING = "alternating_dominance"
 
 
-@dataclass
-class SensitivityMatrix:
-    """All directed sensitivities at one step; entry (i, j) = |grad_ij|."""
-
-    step_index: int
-    entries: np.ndarray  # (n, n), nonnegative, zero diagonal
-
-    def validate(self) -> None:
-        e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"entries must be square, got shape {e.shape}")
-        if np.any(e < 0):
-            raise ValueError("sensitivities must be nonnegative")
-        if np.any(np.diag(e) != 0):
-            raise ValueError("diagonal must be exactly zero")
-
-
-def _block_norm(jac: np.ndarray, block: np.ndarray, ord: str | int) -> float:
+def _block_norm(jac: np.ndarray, block: np.ndarray) -> float:
     """|grad_ij| from agent i's input Jacobian and j's teammate_block."""
-    return float(np.linalg.norm(jac[:, block], ord=ord))
+    return float(np.linalg.norm(jac[:, block]))
+
+
+def _block_norms(jacs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each column block, a row of blocks (k, 4), of
+    every Jacobian in jacs (T, out, in_dim): shape (T, k).
+
+    Each block is summed in column-major order by one dot product, a row
+    times a column in matmul. That is the order and the dot in which
+    np.linalg.norm reads the fancy-indexed jac[:, block], so every norm
+    equals _block_norm's bit for bit; row-major order or np.add.reduce
+    differ in the last bit. (np.vecdot would need numpy 2.)
+    """
+    x = np.moveaxis(jacs[:, :, blocks], 1, -1)  # (T, k, 4, out)
+    x = x.reshape(*x.shape[:2], 1, -1)
+    return np.sqrt(np.matmul(x, np.swapaxes(x, -1, -2)))[..., 0, 0]
 
 
 def pairwise_sensitivity(actor: MlpParams, obs: np.ndarray,
-                         layout: ObservationLayout, j: int,
-                         ord: str | int = "fro") -> float:
-    """|grad_ij|: matrix norm of d(actor output)/d(teammate j slots).
-
-    ord is any np.linalg.norm matrix order; the Frobenius default treats
-    action and state components symmetrically.
-    """
+                         layout: ObservationLayout, j: int) -> float:
+    """|grad_ij|: Frobenius norm of d(actor output)/d(teammate j slots),
+    which treats action and state components symmetrically."""
     if j == layout.observer:
         raise ValueError("sensitivity to the agent's own state is undefined")
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (layout.total_dim,):
         raise ValueError(f"observation shape {obs.shape} does not match "
                          f"layout dim {layout.total_dim}")
-    return _block_norm(input_jacobian(actor, obs), layout.teammate_block(j),
-                       ord)
+    return _block_norm(input_jacobian(actor, obs), layout.teammate_block(j))
 
 
-def _check_actor_count(actors: Sequence[MlpParams],
-                       scenario: ScenarioConfig) -> None:
+def _check_actors(actors: Sequence[MlpParams],
+                  scenario: ScenarioConfig) -> None:
+    """One actor per agent, each taking the scenario's observations."""
     if len(actors) != scenario.n_agents:
         raise ValueError(f"{len(actors)} actors for "
                          f"{scenario.n_agents} agents")
+    for i, actor in enumerate(actors):
+        if actor.in_dim != scenario.obs_dim:
+            raise ValueError(f"actor {i} expects {actor.in_dim}-dim input, "
+                             f"scenario observations are "
+                             f"{scenario.obs_dim}-dim")
 
 
 def sensitivity_matrix(actors: Sequence[MlpParams], joint_obs: np.ndarray,
-                       scenario: ScenarioConfig,
-                       step_index: int = 0,
-                       ord: str | int = "fro") -> SensitivityMatrix:
-    """All n(n-1) directed sensitivities at one recorded step."""
-    _check_actor_count(actors, scenario)
+                       scenario: ScenarioConfig) -> np.ndarray:
+    """All n(n-1) directed sensitivities at one recorded step, one
+    input_jacobian per agent: entry (i, j) = |grad_ij|, zero diagonal."""
+    _check_actors(actors, scenario)
     n = scenario.n_agents
     entries = np.zeros((n, n))
     for i in range(n):
@@ -97,27 +95,26 @@ def sensitivity_matrix(actors: Sequence[MlpParams], joint_obs: np.ndarray,
         jac = input_jacobian(actors[i], np.asarray(joint_obs[i], dtype=float))
         for j in range(n):
             if j != i:
-                entries[i, j] = _block_norm(jac, layout.teammate_block(j),
-                                            ord)
-    return SensitivityMatrix(step_index=step_index, entries=entries)
+                entries[i, j] = _block_norm(jac, layout.teammate_block(j))
+    return entries
 
 
-def dependency_values(matrix: SensitivityMatrix | np.ndarray) -> np.ndarray:
-    """Net dependency D from a sensitivity matrix.
+def dependency_values(entries: np.ndarray) -> np.ndarray:
+    """Net dependency D from sensitivity matrices: (..., n, n) -> (..., n).
 
-    Each D_i is fsum'ed over the raw signed entries (columns in, rows out),
-    one rounding per agent; this keeps hand-checkable inputs exact and the
-    total within one ulp of zero.
+    Each D_i is fsum'ed over the raw signed entries (column i in, row i
+    out), one rounding per agent; this keeps hand-checkable inputs exact and
+    the total within one ulp of zero.
     """
-    entries = matrix.entries if isinstance(matrix, SensitivityMatrix) else matrix
     entries = np.asarray(entries, dtype=float)
-    n = entries.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        terms = [entries[j, i] for j in range(n) if j != i]
-        terms += [-entries[i, j] for j in range(n) if j != i]
-        out[i] = math.fsum(terms)
-    return out
+    n = entries.shape[-1]
+    off = ~np.eye(n, dtype=bool)
+    rows = (*entries.shape[:-2], n, n - 1)
+    terms = np.concatenate([
+        np.swapaxes(entries, -1, -2)[..., off].reshape(rows),
+        -entries[..., off].reshape(rows)], axis=-1)
+    flat = terms.reshape(math.prod(rows[:-1]), 2 * n - 2).tolist()
+    return np.array([math.fsum(t) for t in flat]).reshape(rows[:-1])
 
 
 @dataclass
@@ -129,36 +126,41 @@ class HierarchyCall:
     tie: bool  # top value shared within tolerance (and not the no-hierarchy case)
 
 
-def identify_hierarchy(dependencies: np.ndarray,
-                       tol: float = TIE_TOL) -> HierarchyCall:
-    """Pick the leader: strict max of D, lowest index on ties.
+def _leaders_and_ties(deps: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leader, tie flag and flat flag of every row of a (T, n) D array.
 
-    All values equal within tol means no hierarchy at all (flat team).
+    A row's leader is its strict max, the lowest index among values within
+    TIE_TOL of it, and a tie when there are several. A row whose values all
+    lie within TIE_TOL is flat: no hierarchy, leader 0, no tie.
     """
+    if deps.ndim != 2 or deps.shape[1] < 2:
+        raise ValueError("need rows of at least two dependency values")
+    if not np.isfinite(deps).all():
+        raise ValueError("dependency values must be finite")
+    top = deps.max(axis=1)
+    flat = top - deps.min(axis=1) <= TIE_TOL
+    at_top = deps >= (top - TIE_TOL)[:, None]
+    leaders = np.where(flat, 0, at_top.argmax(axis=1))
+    ties = ~flat & (at_top.sum(axis=1) > 1)
+    return leaders, ties, flat
+
+
+def identify_hierarchy(dependencies: np.ndarray) -> HierarchyCall:
+    """Pick the leader: strict max of D, lowest index on ties within
+    TIE_TOL. All values equal within TIE_TOL means no hierarchy at all
+    (flat team)."""
     d = np.asarray(dependencies, dtype=float)
-    if d.ndim != 1 or d.size < 2:
+    if d.ndim != 1:
         raise ValueError("need a vector of at least two dependency values")
-    if float(d.max() - d.min()) <= tol:
+    leaders, ties, flat = _leaders_and_ties(d[None])
+    if flat[0]:
         return HierarchyCall(leader=None, followers=tuple(range(d.size)),
                              tie=False)
-    top = float(d.max())
-    at_top = np.flatnonzero(d >= top - tol)
-    leader = int(at_top[0])
+    leader = int(leaders[0])
     followers = tuple(i for i in range(d.size) if i != leader)
     return HierarchyCall(leader=leader, followers=followers,
-                         tie=at_top.size > 1)
-
-
-def _leaders_and_ties(deps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step identify_hierarchy of a (T, n) D array: leader (agent 0 for
-    a flat team) and tie flag."""
-    leaders = np.zeros(deps.shape[0], dtype=np.int64)
-    ties = np.zeros(deps.shape[0], dtype=bool)
-    for t, d in enumerate(deps):
-        call = identify_hierarchy(d)
-        leaders[t] = 0 if call.leader is None else call.leader
-        ties[t] = call.tie
-    return leaders, ties
+                         tie=bool(ties[0]))
 
 
 @dataclass
@@ -186,35 +188,25 @@ def analyze_rollout(trajectory: Trajectory,
                     actors: Sequence[AgentNets] | Sequence[MlpParams],
                     scenario: ScenarioConfig,
                     seed: int | None = None,
-                    checkpoint: str | None = None,
-                    ord: str | int = "fro") -> DependencyTrace:
+                    checkpoint: str | None = None) -> DependencyTrace:
     """Sensitivities and D at every recorded step of a rollout."""
     actor_params = _actor_list(list(actors))
-    _check_actor_count(actor_params, scenario)
+    _check_actors(actor_params, scenario)
     n = scenario.n_agents
     if trajectory.n_agents != n:
         raise ValueError(f"trajectory has {trajectory.n_agents} agents, "
                          f"scenario has {n}")
-    for i, actor in enumerate(actor_params):
-        if actor.in_dim != scenario.obs_dim:
-            raise ValueError(f"actor {i} expects {actor.in_dim}-dim input, "
-                             f"scenario observations are "
-                             f"{scenario.obs_dim}-dim")
     # row i of every step's matrix from one stacked pass over agent i's
     # observations; each step's Jacobian is input_jacobian's, bit for bit
-    t_steps = trajectory.n_steps
-    sens = np.zeros((t_steps, n, n))
+    sens = np.zeros((trajectory.n_steps, n, n))
     for i, actor in enumerate(actor_params):
         layout = scenario.layout(i)
-        blocks = [(j, layout.teammate_block(j)) for j in range(n) if j != i]
+        others = [j for j in range(n) if j != i]
+        blocks = np.array([layout.teammate_block(j) for j in others])
         jacs = input_jacobians(actor, trajectory.observations[:, i])
-        for t in range(t_steps):
-            for j, block in blocks:
-                sens[t, i, j] = _block_norm(jacs[t], block, ord)
-    deps = np.zeros((t_steps, n))
-    for t in range(t_steps):
-        deps[t] = dependency_values(sens[t])
-    leaders, ties = _leaders_and_ties(deps)
+        sens[:, i, others] = _block_norms(jacs, blocks)
+    deps = dependency_values(sens)
+    leaders, ties, _flat = _leaders_and_ties(deps)
     return DependencyTrace(
         scenario_id=scenario.scenario_id,
         dependencies=deps,
@@ -329,18 +321,14 @@ def trace_columns(n_agents: int) -> list[str]:
 
 
 def write_trace_csv(trace: DependencyTrace, path) -> None:
-    n = trace.n_agents
+    off = ~np.eye(trace.n_agents, dtype=bool)  # grad_i_j in row-major order
     with open(path, "w", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(trace_columns(n))
-        for t in range(trace.n_steps):
-            row: list = [t]
-            row += [repr(float(v)) for v in trace.dependencies[t]]
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        row.append(repr(float(trace.sensitivities[t, i, j])))
-            writer.writerow(row)
+        writer.writerow(trace_columns(trace.n_agents))
+        for t, (deps, grads) in enumerate(zip(
+                trace.dependencies.tolist(),
+                trace.sensitivities[:, off].tolist())):
+            writer.writerow([t, *map(repr, deps), *map(repr, grads)])
 
 
 def read_trace_csv(path, scenario_id: str) -> DependencyTrace:
@@ -355,21 +343,17 @@ def read_trace_csv(path, scenario_id: str) -> DependencyTrace:
         n = sum(1 for c in fields if c.startswith("D_"))
         if n < 2 or fields != trace_columns(n):
             raise ValueError(f"unrecognized trace columns: {fields}")
-        deps, sens = [], []
-        for raw in reader:
-            deps.append([float(raw[f"D_{i}"]) for i in range(1, n + 1)])
-            m = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        m[i, j] = float(raw[f"grad_{i + 1}_{j + 1}"])
-            sens.append(m)
-    deps_arr = np.array(deps).reshape(-1, n)
-    leaders, ties = _leaders_and_ties(deps_arr)
+        # n D values and n(n-1) off-diagonal sensitivities: n * n a row
+        values = np.array([[float(raw[c]) for c in fields[1:]]
+                           for raw in reader]).reshape(-1, n * n)
+    deps = values[:, :n]
+    sens = np.zeros((len(values), n, n))
+    sens[:, ~np.eye(n, dtype=bool)] = values[:, n:]
+    leaders, ties, _flat = _leaders_and_ties(deps)
     return DependencyTrace(
         scenario_id=scenario_id,
-        dependencies=deps_arr,
-        sensitivities=(np.stack(sens) if sens else np.zeros((0, n, n))),
+        dependencies=deps,
+        sensitivities=sens,
         leaders=leaders,
         ties=ties,
     )
@@ -397,10 +381,6 @@ def report_to_json_dict(report: HierarchyReport) -> dict:
     }
 
 
-def write_report_json(report: HierarchyReport, fp_or_path) -> None:
-    doc = report_to_json_dict(report)
-    if hasattr(fp_or_path, "write"):
-        json.dump(doc, fp_or_path, indent=2)
-    else:
-        with open(fp_or_path, "w") as fp:
-            json.dump(doc, fp, indent=2)
+def write_report_json(report: HierarchyReport, path) -> None:
+    with open(path, "w") as fp:
+        json.dump(report_to_json_dict(report), fp, indent=2)

@@ -217,8 +217,8 @@ class ReplayBuffer:
     one array of observations and one of next observations would hold.
 
     A buffer is filled by put (a stream of lock-step worlds, which says
-    where episodes end) or by push (one transition at a time, each with a
-    final row of its own), never both: their final rows would collide.
+    where episodes end) or by push (a one-row put of a transition that
+    ends an episode of its own), never both: their final rows would collide.
     A goal rewind has put write transitions past the held stream that are
     written again later. sample reads the held transitions right as long
     as nothing past them was written after them, which holds at every
@@ -241,15 +241,14 @@ class ReplayBuffer:
         return min(self._total, self.capacity)
 
     def push(self, tr: Transition) -> None:
-        s = self._total
-        k = s % self._slots
-        self._obs[(s - 1) % self._slots] = tr.obs
-        self._obs[self._slots + k] = tr.next_obs
-        self._idx[k] = tr.action_indices
-        self._rew[k] = tr.rewards
-        self._next_row[k] = self._slots + k
-        self._term[k] = tr.terminal
-        self._total = s + 1
+        """Append one transition: a one-row put that ends an episode
+        numbered by the transition's step."""
+        s = np.array([self._total])
+        self.put(steps=s, episodes=s, action_indices=[tr.action_indices],
+                 rewards=[tr.rewards], next_obs=[tr.next_obs],
+                 terminal=[tr.terminal], done=np.array([True]),
+                 obs=[tr.obs])
+        self.seek(self._total + 1)
 
     def put(self, steps: np.ndarray, episodes: np.ndarray,
             action_indices: np.ndarray, rewards: np.ndarray,

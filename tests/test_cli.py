@@ -256,6 +256,21 @@ class TestAnalyzeCommand:
                        str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_actor_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                      bad):
+        run_dir = run_train(tmp_path)
+        final = run_dir / "checkpoints/final"
+        nets = maddpg.load_checkpoint(final)
+        nets[1].actor.weights[0][0, 0] = bad
+        maddpg.save_checkpoint(nets, final)
+        rc = cli.main(["analyze", "--checkpoint", str(final),
+                       "--out", str(tmp_path), "--run-id", "an1"])
+        assert rc == cli.EXIT_USAGE
+        assert "agent 2 actor has non-finite parameters" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "an1").exists()
+
     @pytest.mark.parametrize("flag, value", [("--rollouts", "0"),
                                              ("--min-segment-length", "-1")])
     def test_bad_argument_exits_2_writing_nothing(self, tmp_path, capsys,

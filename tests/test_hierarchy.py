@@ -13,7 +13,7 @@ from hlab.hierarchy import (
     HierarchyReport,
     PATTERN_ALTERNATING,
     PATTERN_PERSISTENT,
-    SensitivityMatrix,
+    TIE_TOL,
     analyze_rollout,
     dependency_values,
     identify_hierarchy,
@@ -61,10 +61,15 @@ class TestDependencyValues:
         np.fill_diagonal(m, 0.0)
         assert dependency_values(m).tolist() == [0.0] * 4
 
-    def test_accepts_matrix_object(self):
-        sm = SensitivityMatrix(step_index=3, entries=WORKED)
-        sm.validate()
-        assert dependency_values(sm).tolist() == [0.6, 0.0, -0.6]
+    def test_stack_matches_per_step_calls(self, rng):
+        m = rng.random((2, 7, 4, 4))
+        m[..., np.arange(4), np.arange(4)] = 0.0
+        m[0, 0] = 0.0  # a flat step, with exact zeros
+        d = dependency_values(m)
+        assert d.shape == (2, 7, 4)
+        for idx in np.ndindex(2, 7):
+            assert d[idx].tobytes() == dependency_values(m[idx]).tobytes()
+        assert dependency_values(np.zeros((0, 3, 3))).shape == (0, 3)
 
     @given(st.integers(2, 6), st.integers(0, 10 ** 9))
     @settings(max_examples=80, deadline=None)
@@ -88,14 +93,6 @@ class TestDependencyValues:
         d = dependency_values(m)
         d_perm = dependency_values(m[np.ix_(perm, perm)])
         assert np.allclose(d_perm, d[perm], atol=1e-12)
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            SensitivityMatrix(0, np.zeros((2, 3))).validate()
-        with pytest.raises(ValueError, match="nonnegative"):
-            SensitivityMatrix(0, np.array([[0, -1], [1, 0]])).validate()
-        with pytest.raises(ValueError, match="diagonal"):
-            SensitivityMatrix(0, np.eye(2)).validate()
 
 
 class TestIdentifyHierarchy:
@@ -124,6 +121,31 @@ class TestIdentifyHierarchy:
     def test_rejects_scalars(self):
         with pytest.raises(ValueError):
             identify_hierarchy(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            identify_hierarchy(np.array([0.5, bad, -0.5]))
+
+    def test_stack_matches_per_row_calls(self, rng):
+        t = TIE_TOL
+        deps = np.concatenate([
+            np.array([[0.6, 0.0, -0.6],  # strict leader
+                      [0.5, 0.5, -1.0],  # exact tie
+                      [1.0, 1.0 + 0.5 * t, -2.0],  # tie within TIE_TOL
+                      [1.0, 1.0 + 2.0 * t, -2.0],  # just outside it
+                      [0.0, 0.0, 0.0],  # flat
+                      [0.0, 0.5 * t, -0.5 * t],  # flat within TIE_TOL
+                      [-1.0, -1.0, 2.0]]),
+            rng.normal(size=(20, 3))])
+        leaders, ties, flat = hierarchy._leaders_and_ties(deps)
+        for d, leader, tie, is_flat in zip(deps, leaders, ties, flat):
+            call = identify_hierarchy(d)
+            assert leader == (call.leader or 0)
+            assert tie == call.tie
+            assert is_flat == (call.leader is None)
+        assert ties[1:4].tolist() == [True, True, False]
+        assert flat[4:6].all() and not flat[:4].any()
 
 
 class TestPairwiseSensitivity:
@@ -177,16 +199,6 @@ class TestPairwiseSensitivity:
         with pytest.raises(ValueError, match="does not match"):
             pairwise_sensitivity(actor, np.zeros(7), layout, 0)
 
-    def test_norm_order_is_configurable(self, rng):
-        layout = world.build_scenario("a").layout(0)
-        actor = nn.init_params(layout.total_dim, [6], 5, "softmax", rng)
-        obs = rng.normal(size=layout.total_dim)
-        jac = nn.input_jacobian(actor, obs)
-        block = jac[:, layout.teammate_block(1)]
-        got = pairwise_sensitivity(actor, obs, layout, 1, ord=2)
-        assert got == pytest.approx(float(np.linalg.norm(block, ord=2)),
-                                    abs=1e-14)
-
 
 class TestSensitivityMatrixOp:
     def _actors(self, scenario, rng, hidden=(6,)):
@@ -198,15 +210,15 @@ class TestSensitivityMatrixOp:
         sc = world.build_scenario("a")
         actors = self._actors(sc, rng)
         joint = [rng.normal(size=sc.layout(i).total_dim) for i in range(3)]
-        m = sensitivity_matrix(actors, joint, sc, step_index=9)
-        assert m.step_index == 9
-        m.validate()
+        m = sensitivity_matrix(actors, joint, sc)
+        assert m.shape == (3, 3)
+        assert np.all(np.diag(m) == 0.0)
         for i in range(3):
             for j in range(3):
                 if i != j:
                     want = pairwise_sensitivity(actors[i], joint[i],
                                                 sc.layout(i), j)
-                    assert m.entries[i, j] == want
+                    assert m[i, j] == want
 
     def test_wrong_actor_count(self, rng):
         sc = world.build_scenario("a")
@@ -237,7 +249,8 @@ class TestAnalyzeRollout:
         assert trace.seed == 3 and trace.checkpoint == "final"
         for t in range(trace.n_steps):
             assert abs(float(trace.dependencies[t].sum())) < 1e-9
-            SensitivityMatrix(t, trace.sensitivities[t]).validate()
+            assert np.all(trace.sensitivities[t] >= 0.0)
+            assert np.all(np.diag(trace.sensitivities[t]) == 0.0)
             assert trace.leaders[t] == int(np.argmax(trace.dependencies[t]))
 
     def test_accepts_bare_actor_list(self, mini_run):
@@ -257,10 +270,9 @@ class TestAnalyzeRollout:
         with pytest.raises(ValueError, match="2 actors for 3 agents"):
             analyze_rollout(traj, res.nets[:2], res.scenario)
 
-    @pytest.mark.parametrize("ord", ["fro", 2])
     @pytest.mark.parametrize("epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("scenario_id", ["a", "b", "c"])
-    def test_matches_per_step_oracle(self, scenario_id, epsilon, ord):
+    def test_matches_per_step_oracle(self, scenario_id, epsilon):
         # reference-width actors; one sensitivity_matrix (one
         # input_jacobian per agent) per step is the oracle
         sc = world.build_scenario(scenario_id)
@@ -268,14 +280,13 @@ class TestAnalyzeRollout:
                                             seed=11))
         traj = rollout(nets, sc, epsilon=epsilon,
                        rng=np.random.default_rng(4))
-        trace = analyze_rollout(traj, nets, sc, ord=ord)
+        trace = analyze_rollout(traj, nets, sc)
         actors = [a.actor for a in nets]
         for t in range(traj.n_steps):
-            m = sensitivity_matrix(actors, traj.observations[t], sc,
-                                   step_index=t, ord=ord)
+            m = sensitivity_matrix(actors, traj.observations[t], sc)
             d = dependency_values(m)
             call = identify_hierarchy(d)
-            assert np.array_equal(trace.sensitivities[t], m.entries)
+            assert np.array_equal(trace.sensitivities[t], m)
             assert np.array_equal(trace.dependencies[t], d)
             assert trace.leaders[t] == (call.leader or 0)
             assert trace.ties[t] == call.tie
