@@ -33,14 +33,13 @@ def _tick_values(lo: float, hi: float, n: int = 5) -> list[float]:
 def line_chart(series: Sequence[tuple[str, Sequence[float]]],
                y_range: tuple[float, float],
                title: str, x_label: str, y_label: str,
-               x_range: tuple[float, float] | None = None) -> str:
-    """Multi-series line chart; x is the sample index unless x_range is given."""
+               x_range: tuple[float, float]) -> str:
+    """Multi-series line chart, each series spread evenly over x_range."""
     if not series:
         raise ValueError("need at least one series")
-    n_pts = max(len(ys) for _name, ys in series)
-    if n_pts < 1:
+    if max(len(ys) for _name, ys in series) < 1:
         raise ValueError("series are empty")
-    x_lo, x_hi = x_range if x_range is not None else (0.0, max(n_pts - 1, 1))
+    x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("axis ranges must be increasing")
@@ -93,7 +92,7 @@ def line_chart(series: Sequence[tuple[str, Sequence[float]]],
             pts = f"{sx(x_lo):.2f},{sy(float(ys[0])):.2f} " \
                   f"{sx(x_hi):.2f},{sy(float(ys[0])):.2f}"
         else:
-            step = (x_hi - x_lo) / (len(ys) - 1) if x_range is not None else 1.0
+            step = (x_hi - x_lo) / (len(ys) - 1)
             pts = " ".join(f"{sx(x_lo + i * step):.2f},{sy(float(v)):.2f}"
                            for i, v in enumerate(ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -17,6 +17,10 @@ Run layout (one directory per run under --out):
 analyze reads a checkpoint through maddpg.load_checkpoint, whose section
 in maddpg describes the format; a checkpoint it rejects, and one whose
 actors hold a NaN or infinite parameter, exit 2 before anything is written.
+A checkpoint that does not fit the scenario exits 3, also before anything
+is written: the wrong number of agents, an actor or critic of the wrong
+input width, an actor that is not a softmax over the 5 actions, or actors
+whose layer widths differ.
 
 Exit codes: 0 success, 2 usage/config errors (an unusable path or an
 undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
@@ -58,10 +62,6 @@ EXIT_INCOMPATIBLE = 3
 EXIT_DIVERGED = 4
 EXIT_VALIDATION = 5
 EXIT_PARTIAL = 6
-
-
-class IncompatibilityError(RuntimeError):
-    """Checkpoint and scenario do not describe the same team/geometry."""
 
 
 def _now() -> str:
@@ -150,25 +150,6 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
     return maddpg.TrainConfig.from_json_dict(doc)
 
 
-def _check_compatibility(nets: list[maddpg.AgentNets],
-                         scenario: world.ScenarioConfig) -> None:
-    n = scenario.n_agents
-    if len(nets) != n:
-        raise IncompatibilityError(
-            f"checkpoint holds {len(nets)} agents, scenario "
-            f"{scenario.scenario_id!r} has {n}")
-    for i, a in enumerate(nets):
-        if a.actor.in_dim != scenario.obs_dim:
-            raise IncompatibilityError(
-                f"agent {i + 1} actor expects {a.actor.in_dim}-dim input, "
-                f"scenario {scenario.scenario_id!r} observations are "
-                f"{scenario.obs_dim}-dim")
-        if a.critic.in_dim != scenario.joint_dim:
-            raise IncompatibilityError(
-                f"agent {i + 1} critic expects {a.critic.in_dim}-dim input, "
-                f"scenario joint input is {scenario.joint_dim}-dim")
-
-
 def _train_run(config: maddpg.TrainConfig, out: str, run_id: str,
                checkpoint_every: int, quiet: bool
                ) -> tuple[str, maddpg.TrainResult, dict]:
@@ -241,7 +222,7 @@ def _analyze_into(run_dir: str, nets: list[maddpg.AgentNets],
                   scenario: world.ScenarioConfig, *, seed: int | None,
                   svg: bool, rollouts: int, min_segment_length: int,
                   checkpoint_ref: str | None) -> dict:
-    _check_compatibility(nets, scenario)
+    maddpg._team_actors(nets, scenario)
     os.makedirs(run_dir, exist_ok=True)
     artifacts: dict = {"trajectories": [], "traces": [], "reports": []}
     summary: dict = {}
@@ -352,9 +333,11 @@ def _sweep_worker(payload: dict) -> dict:
         run_dir, result, manifest = _train_run(
             config, payload["out"], payload["run_id"],
             payload["checkpoint_every"], quiet=True)
+        # the scenario that analyze and replay rebuild from its id, so the
+        # log replays whatever episode length the seed trained at
         summary = _analyze_into(
-            run_dir, result.nets, result.scenario, seed=config.seed,
-            svg=payload["svg"], rollouts=1,
+            run_dir, result.nets, world.build_scenario(config.scenario_id),
+            seed=config.seed, svg=payload["svg"], rollouts=1,
             min_segment_length=payload["min_segment_length"],
             checkpoint_ref=os.path.join("checkpoints", "final"))
         manifest["artifacts"].update(summary["artifacts"])
@@ -509,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return int(args.func(args) or EXIT_OK)
-    except IncompatibilityError as exc:
+    except maddpg.IncompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except TrainingDiverged as exc:

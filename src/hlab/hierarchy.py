@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from hlab.maddpg import AgentNets, Trajectory, _actor_list
+from hlab.maddpg import AgentNets, Trajectory, _team_actors
 from hlab.nn import MlpParams, input_jacobian, input_jacobians
 from hlab.world import ObservationLayout, ScenarioConfig
 
@@ -70,24 +70,11 @@ def pairwise_sensitivity(actor: MlpParams, obs: np.ndarray,
     return _block_norm(input_jacobian(actor, obs), layout.teammate_block(j))
 
 
-def _check_actors(actors: Sequence[MlpParams],
-                  scenario: ScenarioConfig) -> None:
-    """One actor per agent, each taking the scenario's observations."""
-    if len(actors) != scenario.n_agents:
-        raise ValueError(f"{len(actors)} actors for "
-                         f"{scenario.n_agents} agents")
-    for i, actor in enumerate(actors):
-        if actor.in_dim != scenario.obs_dim:
-            raise ValueError(f"actor {i} expects {actor.in_dim}-dim input, "
-                             f"scenario observations are "
-                             f"{scenario.obs_dim}-dim")
-
-
 def sensitivity_matrix(actors: Sequence[MlpParams], joint_obs: np.ndarray,
                        scenario: ScenarioConfig) -> np.ndarray:
     """All n(n-1) directed sensitivities at one recorded step, one
     input_jacobian per agent: entry (i, j) = |grad_ij|, zero diagonal."""
-    _check_actors(actors, scenario)
+    actors = _team_actors(actors, scenario)
     n = scenario.n_agents
     entries = np.zeros((n, n))
     for i in range(n):
@@ -190,8 +177,7 @@ def analyze_rollout(trajectory: Trajectory,
                     seed: int | None = None,
                     checkpoint: str | None = None) -> DependencyTrace:
     """Sensitivities and D at every recorded step of a rollout."""
-    actor_params = _actor_list(list(actors))
-    _check_actors(actor_params, scenario)
+    actor_params = _team_actors(actors, scenario)
     n = scenario.n_agents
     if trajectory.n_agents != n:
         raise ValueError(f"trajectory has {trajectory.n_agents} agents, "
@@ -224,10 +210,6 @@ class PhaseSegment:
     end: int  # one past the last step (half-open)
     leader: int
     mean_dependency: np.ndarray  # (n,) mean D over the phase
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 @dataclass

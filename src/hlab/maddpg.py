@@ -315,10 +315,9 @@ def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
 
     epsilon > 0 requires an rng; with probability epsilon the executed action
     is uniform over the five choices, otherwise the argmax of the actor.
-    rollout acts for the whole team through _team_actions instead, and
-    train through the same _greedy_fill over exploration drawn per block;
-    this per-agent form is kept as the reference that _team_actions is
-    tested against.
+    train and rollout act for the whole team through _greedy_fill over
+    _exploration's picks instead; this per-agent form is kept as the
+    reference that the team path is tested against.
     """
     probs = forward(actor, obs)
     if epsilon > 0.0:
@@ -334,21 +333,13 @@ def _team_forward(actors: Sequence[MlpParams]
     """obs (..., n, d) -> every actor's soft output on its own row, (..., n, 5).
 
     Row i of each team equals forward(actors[i], obs[..., i, :]) bit for
-    bit. Actors of one shape run as one batched network: matmul broadcasts
-    (..., n, 1, d) @ (n, d, h), which runs the same one-row product on each
-    (team, agent) slice as forward does, and every other operation acts
-    elementwise or along rows. The stack is a copy of the weights, so the
-    function goes stale once an actor changes.
+    bit. The actors are softmax networks of one shape (_team_actors checks
+    a team that did not come from build_agents) and run as one batched
+    network: matmul broadcasts (..., n, 1, d) @ (n, d, h), which runs the
+    same one-row product on each (team, agent) slice as forward does, and
+    every other operation acts elementwise or along rows. The stack is a
+    copy of the weights, so the function goes stale once an actor changes.
     """
-    actors = list(actors)
-    if (len({tuple(w.shape for w in a.weights) for a in actors}) != 1
-            or any(a.head != "softmax" for a in actors)):
-        def each(obs: np.ndarray) -> np.ndarray:
-            teams = obs.reshape(-1, *obs.shape[-2:])
-            return np.array([[forward(a, o) for a, o in zip(actors, team)]
-                             for team in teams]).reshape(
-                *obs.shape[:-1], N_ACTIONS)
-        return each
     layers = [(np.stack([a.weights[l] for a in actors]).transpose(0, 2, 1),
                np.stack([a.biases[l] for a in actors])[:, None, :])
               for l in range(actors[0].n_layers)]
@@ -399,19 +390,6 @@ def _greedy_fill(policy: Callable[[np.ndarray], np.ndarray],
                                 policy(obs[teams]).argmax(axis=-1),
                                 picks[teams])
     return picks
-
-
-def _team_actions(policy: Callable[[np.ndarray], np.ndarray],
-                  obs: np.ndarray, epsilon: float,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    """select_action's index for every agent in index order, in one pass.
-
-    policy is a _team_forward. Draws the same random numbers in the same
-    order as one select_action call per agent and picks the same indices.
-    The actors run only if some agent acts greedily.
-    """
-    return _greedy_fill(policy, obs[None],
-                        _exploration(epsilon, 1, obs.shape[0], rng))[0]
 
 
 def _play(worlds: world.Worlds, budget: np.ndarray, scenario: ScenarioConfig,
@@ -796,26 +774,62 @@ class Trajectory:
                                    self.action_indices, self.rewards)
 
 
-def _actor_list(nets: Sequence[AgentNets] | Sequence[MlpParams]
-                ) -> list[MlpParams]:
-    return [a if isinstance(a, MlpParams) else a.actor for a in nets]
+class IncompatibilityError(ValueError):
+    """A team's networks do not fit the scenario they are to act in."""
+
+
+def _team_actors(nets: Sequence[AgentNets] | Sequence[MlpParams],
+                 scenario: ScenarioConfig) -> list[MlpParams]:
+    """The team's actors, once checked against the scenario; raises
+    IncompatibilityError, naming the agent 1-based, if the team misfits.
+
+    One actor per agent, each a softmax over the N_ACTIONS actions on the
+    scenario's observations with agent 1's layer widths, so that the team
+    runs as one _team_forward; an AgentNets team's critics must take the
+    scenario's joint input.
+    """
+    nets = list(nets)
+    actors = [a if isinstance(a, MlpParams) else a.actor for a in nets]
+    n = scenario.n_agents
+    if len(actors) != n:
+        raise IncompatibilityError(
+            f"{len(actors)} actors for {n} agents of scenario "
+            f"{scenario.scenario_id!r}")
+    dims = [[a.in_dim] + [w.shape[0] for w in a.weights] for a in actors]
+    for k, (a, actor) in enumerate(zip(nets, actors), start=1):
+        if actor.in_dim != scenario.obs_dim:
+            raise IncompatibilityError(
+                f"agent {k} actor expects {actor.in_dim}-dim input, scenario "
+                f"{scenario.scenario_id!r} observations are "
+                f"{scenario.obs_dim}-dim")
+        if actor.head != "softmax" or actor.out_dim != N_ACTIONS:
+            raise IncompatibilityError(
+                f"agent {k} actor is a {actor.head} head with "
+                f"{actor.out_dim} outputs, not a softmax over {N_ACTIONS} "
+                f"actions")
+        if dims[k - 1] != dims[0]:
+            raise IncompatibilityError(
+                f"agent {k} actor has layer widths {dims[k - 1]}, agent 1's "
+                f"has {dims[0]}")
+        if isinstance(a, AgentNets) and a.critic.in_dim != scenario.joint_dim:
+            raise IncompatibilityError(
+                f"agent {k} critic expects {a.critic.in_dim}-dim input, "
+                f"scenario joint input is {scenario.joint_dim}-dim")
+    return actors
 
 
 def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
             scenario: ScenarioConfig, epsilon: float = 0.0,
             rng: np.random.Generator | None = None) -> Trajectory:
     """Execute one episode. epsilon=0 gives the deterministic greedy policy."""
-    actors = _actor_list(list(nets))
+    policy = _team_forward(_team_actors(nets, scenario))
     n = scenario.n_agents
-    if len(actors) != n:
-        raise ValueError(f"{len(actors)} actors for {n} agents")
-    policy = _team_forward(actors)
     states = [world.reset(scenario)]
     all_obs, all_idx, all_rew = [], [], []
     for _live, obs, indices, out, _next_obs in _play(
             world.Worlds.of(states), np.array([scenario.max_steps]), scenario,
-            lambda _live, _t, o: _team_actions(policy, o[0], epsilon,
-                                               rng)[None]):
+            lambda _live, _t, o: _greedy_fill(
+                policy, o, _exploration(epsilon, 1, n, rng))):
         states.append(out.state(0))
         all_obs.append(obs[0])
         all_idx.append(indices[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hlab import nn
+from hlab import maddpg, nn, world
 
 
 FD_H = 1e-5
@@ -75,6 +75,41 @@ def draw_smooth_case(rng: np.random.Generator, in_dim: int,
 def rel_error(got: np.ndarray, want: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(want))), 1e-12)
     return float(np.max(np.abs(got - want))) / scale
+
+
+# Teams that do not fit their scenario, each with the 1-based agent whose
+# actor is at fault: (case, agent).
+MISFITS = [("seven_outputs", 1), ("one_four_outputs", 2),
+           ("all_four_outputs", 1), ("linear_head", 3),
+           ("mixed_widths", 2), ("extra_layer", 3)]
+
+
+def misfit_team(case: str, scenario: world.ScenarioConfig
+                ) -> list[maddpg.AgentNets]:
+    """A scenario's team of (16, 8) softmax actors over the five actions,
+    but for the MISFITS case's actor(s) at fault."""
+    n = scenario.n_agents
+    actors = {  # agent index -> (hidden, outputs, head)
+        "seven_outputs": {i: ((16, 8), 7, "softmax") for i in range(n)},
+        "one_four_outputs": {1: ((16, 8), 4, "softmax")},
+        "all_four_outputs": {i: ((16, 8), 4, "softmax") for i in range(n)},
+        "linear_head": {2: ((16, 8), world.N_ACTIONS, "linear")},
+        "mixed_widths": {1: ((12,), world.N_ACTIONS, "softmax")},
+        "extra_layer": {2: ((16, 8, 8), world.N_ACTIONS, "softmax")},
+    }[case]
+    rng = np.random.default_rng(7)
+    nets = []
+    for i in range(n):
+        a = maddpg.AgentNets.create(scenario.obs_dim, scenario.joint_dim,
+                                    (16, 8), 0.01, 0.01, rng)
+        if i in actors:
+            hidden, out, head = actors[i]
+            a.actor = nn.init_params(scenario.obs_dim, hidden, out, head, rng)
+            if case == "seven_outputs" and i == 0:
+                a.actor.biases[-1][6] = 100.0  # always picks action 6
+            a.target_actor = a.actor.copy()
+        nets.append(a)
+    return nets
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import MISFITS, misfit_team
 from hlab import charts, cli, maddpg, world
 
 
@@ -251,6 +252,18 @@ class TestAnalyzeCommand:
         assert "agent 2 critic expects" in err
         assert "actor expects" not in err
 
+    @pytest.mark.parametrize("case, agent", MISFITS)
+    def test_misfit_team_exits_3_writing_nothing(self, tmp_path, capsys,
+                                                 case, agent):
+        ckpt = tmp_path / "ckpt"
+        maddpg.save_checkpoint(misfit_team(case, world.build_scenario("a")),
+                               ckpt)
+        rc = cli.main(["analyze", "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path), "--run-id", "an1"])
+        assert rc == cli.EXIT_INCOMPATIBLE
+        assert f"error: agent {agent} actor" in capsys.readouterr().err
+        assert not (tmp_path / "an1").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli.main(["analyze", "--checkpoint",
                        str(tmp_path / "nope"), "--out", str(tmp_path)])
@@ -445,6 +458,28 @@ class TestSweepCommand:
             assert "reports" in manifest["artifacts"]
             assert (d / "report.json").exists()
             assert (d / "trajectory.csv").exists()
+
+    def test_every_log_the_cli_writes_replays(self, tmp_path):
+        # 8-step training episodes; analyze and sweep roll out at the
+        # scenario's own horizon, which replay rebuilds from the header
+        run_dir = run_train(tmp_path)
+        assert cli.main(["analyze", "--checkpoint",
+                         str(run_dir / "checkpoints/final"),
+                         "--out", str(tmp_path), "--run-id", "an1"]) \
+            == cli.EXIT_OK
+        assert cli.main(["sweep", "--scenario", "a", "--seeds", "3",
+                         "--out", str(tmp_path / "sw"), *TINY,
+                         "--checkpoint-every", "0"]) == cli.EXIT_OK
+        sweep_dir = tmp_path / "sw/sweep-a-seed3"
+        assert cli.main(["analyze", "--checkpoint",
+                         str(sweep_dir / "checkpoints/final"),
+                         "--out", str(tmp_path), "--run-id", "an2"]) \
+            == cli.EXIT_OK
+        assert (sweep_dir / "trajectory.csv").read_bytes() == \
+            (tmp_path / "an2/trajectory.csv").read_bytes()
+        for log in (tmp_path / "an1", sweep_dir):
+            assert cli.main(["replay", str(log / "trajectory.csv")]) \
+                == cli.EXIT_OK
 
     def test_sweep_matches_train_plus_analyze(self, tmp_path):
         cli.main(["sweep", "--scenario", "a", "--seeds", "3", "--out",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FD_H, rel_error
+from conftest import FD_H, MISFITS, misfit_team, rel_error
 from hlab import hierarchy, nn, world
 from hlab.hierarchy import (
     DependencyTrace,
@@ -25,7 +25,8 @@ from hlab.hierarchy import (
     trace_columns,
     write_trace_csv,
 )
-from hlab.maddpg import TrainConfig, build_agents, rollout, train
+from hlab.maddpg import (
+    IncompatibilityError, TrainConfig, build_agents, rollout, train)
 
 
 WORKED = np.array([
@@ -269,6 +270,14 @@ class TestAnalyzeRollout:
         res, traj = mini_run
         with pytest.raises(ValueError, match="2 actors for 3 agents"):
             analyze_rollout(traj, res.nets[:2], res.scenario)
+
+    @pytest.mark.parametrize("case, agent", MISFITS)
+    def test_misfit_team_rejected(self, mini_run, case, agent):
+        res, traj = mini_run
+        with pytest.raises(IncompatibilityError,
+                           match=f"agent {agent} actor"):
+            analyze_rollout(traj, misfit_team(case, res.scenario),
+                            res.scenario)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("scenario_id", ["a", "b", "c"])

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FD_H, min_preactivation_gap, rel_error
+from conftest import (
+    FD_H, MISFITS, min_preactivation_gap, misfit_team, rel_error)
 from hlab import cli, maddpg, nn, world
 from hlab.maddpg import (
     AgentNets,
@@ -739,6 +740,22 @@ class TestRollout:
         traj = rollout(res.nets, res.scenario)
         assert np.isfinite(traj.rewards).all()
 
+    @pytest.mark.parametrize("case, agent", MISFITS)
+    def test_misfit_team_rejected(self, case, agent):
+        sc = world.build_scenario("a")
+        nets = misfit_team(case, sc)
+        for team in (nets, [a.actor for a in nets]):
+            with pytest.raises(maddpg.IncompatibilityError,
+                               match=f"agent {agent} actor"):
+                rollout(team, sc)
+
+    def test_wrong_agent_count_rejected(self):
+        sc = world.build_scenario("a")
+        nets = build_agents(sc, tiny_config())
+        with pytest.raises(maddpg.IncompatibilityError,
+                           match="2 actors for 3 agents"):
+            rollout(nets[:2], sc)
+
 
 class TestRewardLogAndCheckpoints:
     def test_trailing_mean_window(self):
@@ -1294,18 +1311,18 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("hidden", [((16, 8),) * 3,
-                                    ((16, 8), (12,), (16, 8))],
-                         ids=["stacked", "mixed"])
+@pytest.mark.parametrize("hidden", [(16, 8), (12,)],
+                         ids=["stacked", "one_layer"])
 def test_team_actions_match_select_action(epsilon, hidden):
     rng = np.random.default_rng(5)
-    actors = [nn.init_params(6, h, world.N_ACTIONS, "softmax", rng)
-              for h in hidden]
+    actors = [nn.init_params(6, hidden, world.N_ACTIONS, "softmax", rng)
+              for _ in range(3)]
     policy = maddpg._team_forward(actors)
     team_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         obs = rng.normal(size=(3, 6))
-        idx = maddpg._team_actions(policy, obs, epsilon, team_rng)
+        idx = maddpg._greedy_fill(
+            policy, obs[None], maddpg._exploration(epsilon, 1, 3, team_rng))[0]
         picks = [select_action(a, o, epsilon, ref_rng)
                  for a, o in zip(actors, obs)]
         assert idx.tolist() == [p[0] for p in picks]
@@ -1317,11 +1334,12 @@ def test_team_actions_skip_actors_when_all_explore():
     def never(obs):
         raise AssertionError("actors ran although every agent explored")
 
-    idx = maddpg._team_actions(never, np.zeros((3, 4)), 1.0,
-                               np.random.default_rng(0))
+    idx = maddpg._greedy_fill(
+        never, np.zeros((1, 3, 4)),
+        maddpg._exploration(1.0, 1, 3, np.random.default_rng(0)))[0]
     assert idx.shape == (3,)
     with pytest.raises(ValueError, match="rng"):
-        maddpg._team_actions(never, np.zeros((3, 4)), 0.5, None)
+        maddpg._exploration(0.5, 1, 3, None)
 
 
 def _ref_train(config, scenario=None, on_episode=None):
