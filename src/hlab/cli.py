@@ -54,6 +54,7 @@ import hlab.charts as charts
 import hlab.hierarchy as hierarchy
 import hlab.maddpg as maddpg
 import hlab.world as world
+from hlab import __version__
 from hlab.nn import TrainingDiverged
 
 EXIT_OK = 0
@@ -95,12 +96,6 @@ def _peak_rss_mb() -> float:
     # Linux counts kibibytes, macOS bytes
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10),
                  2)
-
-
-def _tool_version() -> str:
-    from hlab import __version__
-
-    return __version__
 
 
 # flag name (underscored) -> TrainConfig field, for every field without a
@@ -190,7 +185,7 @@ def _train_run(config: maddpg.TrainConfig, out: str, run_id: str,
     manifest = {
         "run_id": run_id,
         "kind": "train",
-        "tool": {"name": "hlab", "version": _tool_version()},
+        "tool": {"name": "hlab", "version": __version__},
         "scenario_id": config.scenario_id,
         "seed": config.seed,
         "config": config.to_json_dict(),
@@ -306,7 +301,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = {
         "run_id": run_id,
         "kind": "analyze",
-        "tool": {"name": "hlab", "version": _tool_version()},
+        "tool": {"name": "hlab", "version": __version__},
         "scenario_id": scenario.scenario_id,
         "seed": args.seed,
         "checkpoint": os.path.abspath(args.checkpoint),
@@ -432,64 +427,80 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _train_args(p: argparse.ArgumentParser) -> None:
+    _add_config_flags(p, with_seed=True)
+    p.add_argument("--out", default="runs", help="output root directory")
+    p.add_argument("--run-id", default=None)
+    p.add_argument("--checkpoint-every", type=int, default=1000,
+                   help="episodes between checkpoints (0 = final only)")
+    p.add_argument("--quiet", action="store_true")
+    p.set_defaults(func=cmd_train)
+
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True,
+                   help="directory holding agent_<k>.json headers and "
+                        "their agent_<k>.f64 payloads")
+    p.add_argument("--scenario", choices=world.SCENARIO_IDS, default="a")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed recorded in outputs (provenance only)")
+    p.add_argument("--out", default="runs")
+    p.add_argument("--run-id", default=None)
+    p.add_argument("--svg", action="store_true",
+                   help="also write dependency/sensitivity charts")
+    p.add_argument("--rollouts", type=int, default=1,
+                   help="number of greedy evaluation rollouts")
+    p.add_argument("--min-segment-length", type=int, default=3)
+    p.set_defaults(func=cmd_analyze)
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    _add_config_flags(p, with_seed=False)
+    p.add_argument("--seeds", required=True,
+                   help="comma-separated seed list, e.g. 5,10,15,20,25,30")
+    p.add_argument("--out", default="runs")
+    p.add_argument("--checkpoint-every", type=int, default=1000)
+    p.add_argument("--svg", action="store_true")
+    p.add_argument("--min-segment-length", type=int, default=3)
+    p.set_defaults(func=cmd_sweep)
+
+
+def _replay_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("trajectory", help="trajectory CSV path")
+    p.add_argument("--scenario", choices=world.SCENARIO_IDS, default=None,
+                   help="override the scenario named in the log header")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest absolute error allowed (>= 0)")
+    p.set_defaults(func=cmd_replay)
+
+
+# subcommand -> (help, the function adding its arguments)
+_COMMANDS = {
+    "train": ("run one training experiment", _train_args),
+    "analyze": ("greedy rollout + dependency analysis of a checkpoint",
+                _analyze_args),
+    "sweep": ("train + analyze a list of seeds", _sweep_args),
+    "replay": ("re-simulate a trajectory log and verify it", _replay_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with only command's arguments (all if it is none)."""
     parser = argparse.ArgumentParser(
         prog="hlab",
         description="box-pushing experiments: training, dependency analysis, "
                     "seed sweeps, trajectory replay")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="run one training experiment")
-    _add_config_flags(p_train, with_seed=True)
-    p_train.add_argument("--out", default="runs", help="output root directory")
-    p_train.add_argument("--run-id", default=None)
-    p_train.add_argument("--checkpoint-every", type=int, default=1000,
-                         help="episodes between checkpoints (0 = final only)")
-    p_train.add_argument("--quiet", action="store_true")
-    p_train.set_defaults(func=cmd_train)
-
-    p_an = sub.add_parser("analyze",
-                          help="greedy rollout + dependency analysis of a "
-                               "checkpoint")
-    p_an.add_argument("--checkpoint", required=True,
-                      help="directory holding agent_<k>.json headers and "
-                           "their agent_<k>.f64 payloads")
-    p_an.add_argument("--scenario", choices=world.SCENARIO_IDS, default="a")
-    p_an.add_argument("--seed", type=int, default=None,
-                      help="seed recorded in outputs (provenance only)")
-    p_an.add_argument("--out", default="runs")
-    p_an.add_argument("--run-id", default=None)
-    p_an.add_argument("--svg", action="store_true",
-                      help="also write dependency/sensitivity charts")
-    p_an.add_argument("--rollouts", type=int, default=1,
-                      help="number of greedy evaluation rollouts")
-    p_an.add_argument("--min-segment-length", type=int, default=3)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_sw = sub.add_parser("sweep", help="train + analyze a list of seeds")
-    _add_config_flags(p_sw, with_seed=False)
-    p_sw.add_argument("--seeds", required=True,
-                      help="comma-separated seed list, e.g. 5,10,15,20,25,30")
-    p_sw.add_argument("--out", default="runs")
-    p_sw.add_argument("--checkpoint-every", type=int, default=1000)
-    p_sw.add_argument("--svg", action="store_true")
-    p_sw.add_argument("--min-segment-length", type=int, default=3)
-    p_sw.set_defaults(func=cmd_sweep)
-
-    p_rp = sub.add_parser("replay",
-                          help="re-simulate a trajectory log and verify it")
-    p_rp.add_argument("trajectory", help="trajectory CSV path")
-    p_rp.add_argument("--scenario", choices=world.SCENARIO_IDS, default=None,
-                      help="override the scenario named in the log header")
-    p_rp.add_argument("--tol", type=float, default=1e-9,
-                      help="largest absolute error allowed (>= 0)")
-    p_rp.set_defaults(func=cmd_replay)
+    for name, (help_, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if command not in _COMMANDS or command == name:
+            add_args(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return int(args.func(args) or EXIT_OK)
     except maddpg.IncompatibilityError as exc:

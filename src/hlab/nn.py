@@ -2,7 +2,7 @@
 
 Everything the trainer and the analysis need from a network lives here:
 forward evaluation, reverse-mode gradients with respect to parameters and
-inputs, forward-accumulated input Jacobians (at one input, or stacked over
+inputs, reverse-accumulated input Jacobians (at one input, or stacked over
 many), Adam/SGD steps guarded by global-norm clipping, and Polyak target
 updates. float64 throughout.
 
@@ -180,53 +180,42 @@ def input_gradient(params: MlpParams, x: np.ndarray,
 
 
 def input_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobian df/dx at a single input, shape (out_dim, in_dim).
-
-    Forward accumulation: push the identity through each layer's linear map
-    and activation derivative, then through the head's Jacobian.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    """Exact Jacobian df/dx at one input: input_jacobians' one-row case."""
+    if np.ndim(x) != 1:
         raise ValueError("input_jacobian expects a single input vector")
-    out, (acts, _logits, _sq) = forward(params, x, return_cache=True)
-    jac = np.eye(params.in_dim)
-    for l in range(params.n_layers):
-        jac = params.weights[l] @ jac
-        if l < params.n_layers - 1:
-            jac = jac * (acts[l + 1][0] > 0.0)[:, None]
-    if params.head == "softmax":
-        p = out
-        jac = (np.diag(p) - np.outer(p, p)) @ jac
-    return jac
+    return input_jacobians(params, np.asarray(x)[None])[0]
 
 
 def input_jacobians(params: MlpParams, xs: np.ndarray) -> np.ndarray:
     """input_jacobian at every row of xs (T, in_dim): shape (T, out, in_dim).
 
-    Slice t equals input_jacobian(params, xs[t]) bit for bit. The forward
-    runs on (T, 1, in_dim) stacks, so matmul takes the same one-row product
-    per slice that forward takes for one vector, and every Jacobian product
-    is the per-step 2-D product, stacked.
+    Reverse accumulation, whose cost follows the 5 action outputs, not the
+    18-20 inputs: one stacked forward keeps each hidden ReLU mask, then the
+    head's Jacobian (S W_L under softmax, else W_L) goes down the layers as
+    jac <- (jac * mask_l) @ W_l. Rows stack as (T, 1, in_dim), so every
+    product is the per-step 2-D one, and slice t does not depend on T.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != params.in_dim:
         raise ValueError(f"inputs of shape {xs.shape} do not stack "
                          f"{params.in_dim}-dim vectors")
-    h = xs[:, None, :]
-    jac = np.eye(params.in_dim)
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    h, masks = xs[:, None, :], []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = np.matmul(h, w.T)
         z += b
-        jac = np.matmul(w, jac)
-        if l < params.n_layers - 1:
-            jac = jac * (z > 0.0).transpose(0, 2, 1)
-            h = np.maximum(z, 0.0)
-    if jac.ndim == 2:  # a single layer never met a per-step mask
-        jac = np.repeat(jac[None], len(xs), axis=0)
+        masks.append(z > 0.0)
+        h = np.maximum(z, 0.0, out=z)
+    w = params.weights[-1]
     if params.head == "softmax":
-        p = _softmax(z)  # (T, 1, out): diag(p) - p p^T per step, stacked
+        # p is (T, 1, out): diag(p) - p p^T per step, stacked
+        p = _softmax(np.matmul(h, w.T) + params.biases[-1])
         s = np.eye(params.out_dim) * p - p.transpose(0, 2, 1) * p
-        jac = np.matmul(s, jac)
+        jac = np.matmul(s, w)
+    else:
+        jac = np.repeat(w[None], len(xs), axis=0)
+    for w, mask in zip(params.weights[-2::-1], masks[::-1]):
+        jac *= mask
+        jac = np.matmul(jac, w)
     return jac
 
 

@@ -29,6 +29,32 @@ def fd_input_jacobian(params: nn.MlpParams, x: np.ndarray,
     return out
 
 
+def forward_mode_jacobians(params: nn.MlpParams,
+                           xs: np.ndarray) -> np.ndarray:
+    """Input Jacobians at every row of xs (T, in_dim) by forward accumulation.
+
+    The identity is pushed up through each layer's weights and ReLU mask,
+    then through the head's Jacobian: the other order of the same chain
+    product that nn.input_jacobians takes, so it agrees to rounding only.
+    """
+    h = np.asarray(xs, dtype=float)[:, None, :]
+    jac = np.eye(params.in_dim)
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(h, w.T) + b
+        jac = np.matmul(w, jac)
+        if l < params.n_layers - 1:
+            jac = jac * (z > 0.0).transpose(0, 2, 1)
+            h = np.maximum(z, 0.0)
+    if jac.ndim == 2:  # a single layer never met a per-step mask
+        jac = np.repeat(jac[None], len(h), axis=0)
+    if params.head == "softmax":
+        p = np.exp(z - z.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        s = np.eye(params.out_dim) * p - p.transpose(0, 2, 1) * p
+        jac = np.matmul(s, jac)
+    return jac
+
+
 def fd_param_gradient(params: nn.MlpParams, x: np.ndarray,
                       upstream: np.ndarray, h: float = FD_H) -> np.ndarray:
     """Central-difference gradient of sum(<upstream, f(x)>) over flat params."""

@@ -547,6 +547,31 @@ class TestParser:
             cli.main([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--scenario", "b", "--seed", "4", "--hidden", "16,8",
+         "--episodes", "3", "--gamma", "0.9", "--quiet"],
+        ["analyze", "--checkpoint", "ck", "--scenario", "c", "--svg",
+         "--rollouts", "2", "--min-segment-length", "0"],
+        ["sweep", "--seeds", "1,2", "--batch-size", "8", "--svg"],
+        ["replay", "log.csv", "--tol", "0.5"],
+    ])
+    def test_one_command_parser_parses_as_the_full_one(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == \
+            cli.build_parser().parse_args(argv)
+
+    def test_command_help_lists_its_arguments(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["analyze", "--help"])
+        assert err.value.code == 0
+        assert "--checkpoint" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["--checkpoint", "x"]])
+    def test_unknown_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "{train,analyze,sweep,replay}" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["train", "--scenario", "z"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FD_H, MISFITS, misfit_team, rel_error
+from conftest import (
+    FD_H, MISFITS, forward_mode_jacobians, misfit_team, rel_error)
 from hlab import hierarchy, nn, world
 from hlab.hierarchy import (
     DependencyTrace,
@@ -26,7 +27,8 @@ from hlab.hierarchy import (
     write_trace_csv,
 )
 from hlab.maddpg import (
-    IncompatibilityError, TrainConfig, build_agents, rollout, train)
+    IncompatibilityError, TrainConfig, build_agents, load_checkpoint, rollout,
+    save_checkpoint, train)
 
 
 WORKED = np.array([
@@ -299,6 +301,30 @@ class TestAnalyzeRollout:
             assert np.array_equal(trace.dependencies[t], d)
             assert trace.leaders[t] == (call.leader or 0)
             assert trace.ties[t] == call.tie
+
+    @pytest.mark.parametrize("scenario_id", ["a", "b", "c"])
+    def test_hierarchy_as_under_forward_accumulation(self, scenario_id,
+                                                      tmp_path, monkeypatch):
+        # a seeded checkpoint, made as the analyze benchmark makes one; the
+        # reverse-mode Jacobians move D by rounding only, which must leave
+        # every leader, tie, segment and the pattern where it was
+        sc = world.build_scenario(scenario_id)
+        save_checkpoint(build_agents(sc, TrainConfig(scenario_id=scenario_id,
+                                                     seed=5)), tmp_path)
+        nets = load_checkpoint(tmp_path)
+        traj = rollout(nets, sc)
+        got = analyze_rollout(traj, nets, sc)
+        monkeypatch.setattr(hierarchy, "input_jacobians",
+                            forward_mode_jacobians)
+        want = analyze_rollout(traj, nets, sc)
+        assert np.allclose(got.sensitivities, want.sensitivities,
+                           rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.leaders, want.leaders)
+        assert np.array_equal(got.ties, want.ties)
+        a, b = segment_phases(got), segment_phases(want)
+        assert a.pattern == b.pattern and a.tie_steps == b.tie_steps
+        assert [(s.start, s.end, s.leader) for s in a.segments] == \
+            [(s.start, s.end, s.leader) for s in b.segments]
 
 
 class TestSegmentPhases:

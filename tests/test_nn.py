@@ -9,6 +9,7 @@ from conftest import (
     draw_smooth_case,
     fd_input_jacobian,
     fd_param_gradient,
+    forward_mode_jacobians,
     rel_error,
 )
 from hlab import nn
@@ -149,7 +150,7 @@ class TestGradientsAgainstFiniteDifferences:
             nn.input_jacobian(p, np.zeros((2, 4)))
 
     @pytest.mark.parametrize("head", ["linear", "softmax"])
-    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5, 4)])
+    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5, 4), (128, 64)])
     def test_stacked_jacobians_equal_per_input_calls(self, head, hidden):
         # a local stream, so the shared one is left as other tests expect
         rng = np.random.default_rng(len(hidden))
@@ -159,6 +160,27 @@ class TestGradientsAgainstFiniteDifferences:
         assert jacs.shape == (13, 5, 9)
         for t in range(13):
             assert jacs[t].tobytes() == nn.input_jacobian(p, xs[t]).tobytes()
+            assert jacs[t].tobytes() == _ref_jacobian(p, xs[t]).tobytes()
+
+    @pytest.mark.parametrize("in_dim", [18, 20])
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5, 4), (128, 64)])
+    def test_stacked_jacobians_match_forward_accumulation(self, head, hidden,
+                                                          in_dim):
+        rng = np.random.default_rng(in_dim + len(hidden))
+        p = nn.init_params(in_dim, hidden, 5, head, rng)
+        xs = rng.normal(size=(50, in_dim))
+        jacs = nn.input_jacobians(p, xs)
+        want = forward_mode_jacobians(p, xs)
+        assert jacs.shape == want.shape == (50, 5, in_dim)
+        assert np.abs(jacs - want).max() <= 1e-12 * np.abs(jacs).max()
+
+    @pytest.mark.parametrize("head", ["linear", "softmax"])
+    @pytest.mark.parametrize("hidden", [(), (3,)])
+    def test_stacked_jacobians_of_no_inputs(self, head, hidden):
+        p = nn.init_params(4, hidden, 5, head, np.random.default_rng(0))
+        jacs = nn.input_jacobians(p, np.zeros((0, 4)))
+        assert jacs.shape == (0, 5, 4) and jacs.dtype == np.float64
 
     def test_stacked_jacobians_reject_wrong_width(self):
         p = nn.init_params(4, [3], 2, "linear", np.random.default_rng(0))
@@ -218,16 +240,15 @@ def _ref_masked_by_preactivation(params, x, upstream):
 
 
 def _ref_jacobian(params, x):
+    """Reverse accumulation in plain 2-D products, masks from z > 0."""
     pre, _grads, _dx = _ref_masked_by_preactivation(
         params, x.reshape(1, -1), np.zeros((1, params.out_dim)))
-    jac = np.eye(params.in_dim)
-    for l, w in enumerate(params.weights):
-        jac = w @ jac
-        if l < params.n_layers - 1:
-            jac = jac * (pre[l][0] > 0.0)[:, None]
+    jac = params.weights[-1]
     if params.head == "softmax":
         p = nn.forward(params, x)
         jac = (np.diag(p) - np.outer(p, p)) @ jac
+    for l in range(params.n_layers - 2, -1, -1):
+        jac = (jac * (pre[l][0] > 0.0)[None, :]) @ params.weights[l]
     return jac
 
 
@@ -247,9 +268,10 @@ class TestExactKinks:
                 assert a.tobytes() == b.tobytes()
             assert nn.input_gradient(p, x, u, c).tobytes() == \
                 want_dx.tobytes()
-        for row in x:
-            assert nn.input_jacobian(p, row).tobytes() == \
-                _ref_jacobian(p, row).tobytes()
+        for row, jac in zip(x, nn.input_jacobians(p, x)):
+            want = _ref_jacobian(p, row).tobytes()
+            assert nn.input_jacobian(p, row).tobytes() == want
+            assert jac.tobytes() == want
 
     @pytest.mark.parametrize("head", ["linear", "softmax"])
     def test_forward_leaves_input_unchanged(self, head):
