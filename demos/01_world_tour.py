@@ -52,7 +52,7 @@ while not states[-1].done:
     actions.append(idx)
     rewards.append(out.rewards)
 
-path = "/tmp/hlab_demo_trajectory.csv"
+path = "hlab_demo_trajectory.csv"
 world.write_trajectory_csv(path, sc.scenario_id, states,
                            np.array(actions), np.array(rewards))
 print(f"\nwrote {len(actions)}-step random trajectory to {path}")

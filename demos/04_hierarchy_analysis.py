@@ -45,12 +45,12 @@ for s in report.segments:
     print(f"  steps [{s.start:2d}, {s.end:2d}): leader agent {s.leader + 1}, "
           f"mean D of leader {s.mean_dependency[s.leader]:+.4f}")
 
-dep_svg = "/tmp/hlab_demo_dependency.svg"
+dep_svg = "hlab_demo_dependency.svg"
 with open(dep_svg, "w") as fp:
     fp.write(charts.dependency_chart(trace.dependencies,
                                      result.scenario.scenario_id,
                                      result.scenario.max_steps))
-sen_svg = "/tmp/hlab_demo_sensitivity.svg"
+sen_svg = "hlab_demo_sensitivity.svg"
 with open(sen_svg, "w") as fp:
     fp.write(charts.sensitivity_chart(trace.sensitivities,
                                       result.scenario.scenario_id,

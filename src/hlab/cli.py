@@ -20,7 +20,8 @@ actors hold a NaN or infinite parameter, exit 2 before anything is written.
 A checkpoint that does not fit the scenario exits 3, also before anything
 is written: the wrong number of agents, an actor or critic of the wrong
 input width, an actor that is not a softmax over the 5 actions, or actors
-whose layer widths differ.
+whose layer widths differ. analyze computes its whole analysis before it
+makes the run directory, so a failed analysis leaves none.
 
 Exit codes: 0 success, 2 usage/config errors (an unusable path or an
 undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
@@ -215,57 +216,43 @@ def _write_manifest(run_dir: str, manifest: dict) -> None:
 
 def _analyze_into(run_dir: str, nets: list[maddpg.AgentNets],
                   scenario: world.ScenarioConfig, *, seed: int | None,
-                  svg: bool, rollouts: int, min_segment_length: int,
-                  checkpoint_ref: str | None) -> dict:
-    maddpg._team_actors(nets, scenario)
+                  svg: bool, min_segment_length: int,
+                  checkpoint_ref: str | None
+                  ) -> tuple[maddpg.Trajectory, hierarchy.HierarchyReport,
+                             dict]:
+    """One greedy rollout and its analysis; a failure writes nothing."""
+    traj = maddpg.rollout(nets, scenario)
+    trace = hierarchy.analyze_rollout(traj, nets, scenario, seed=seed,
+                                      checkpoint=checkpoint_ref)
+    report = hierarchy.segment_phases(trace, min_segment_length)
+    charts_svg = {}
+    if svg:
+        charts_svg = {
+            "charts/dependency.svg": charts.dependency_chart(
+                trace.dependencies, scenario.scenario_id, scenario.max_steps),
+            "charts/sensitivity.svg": charts.sensitivity_chart(
+                trace.sensitivities, scenario.scenario_id,
+                scenario.max_steps),
+        }
+
     os.makedirs(run_dir, exist_ok=True)
-    artifacts: dict = {"trajectories": [], "traces": [], "reports": []}
-    summary: dict = {}
-    for k in range(1, rollouts + 1):
-        suffix = "" if k == 1 else f"_{k}"
-        traj = maddpg.rollout(nets, scenario)
-        traj_rel = f"trajectory{suffix}.csv"
-        traj.write_csv(os.path.join(run_dir, traj_rel))
-        trace = hierarchy.analyze_rollout(traj, nets, scenario, seed=seed,
-                                          checkpoint=checkpoint_ref)
-        trace_rel = f"trace{suffix}.csv"
-        hierarchy.write_trace_csv(trace, os.path.join(run_dir, trace_rel))
-        report = hierarchy.segment_phases(trace, min_segment_length)
-        report_rel = f"report{suffix}.json"
-        hierarchy.write_report_json(report,
-                                    os.path.join(run_dir, report_rel))
-        artifacts["trajectories"].append(traj_rel)
-        artifacts["traces"].append(trace_rel)
-        artifacts["reports"].append(report_rel)
-        if k == 1:
-            summary = {
-                "pattern": report.pattern,
-                "leader_sequence": [s.leader + 1 for s in report.segments],
-                "segments": [(s.start, s.end, s.leader + 1)
-                             for s in report.segments],
-                "goal": traj.reached_goal(),
-                "steps": traj.n_steps,
-            }
-            if svg:
-                chart_dir = os.path.join(run_dir, "charts")
-                os.makedirs(chart_dir, exist_ok=True)
-                dep = charts.dependency_chart(trace.dependencies,
-                                              scenario.scenario_id,
-                                              scenario.max_steps)
-                sen = charts.sensitivity_chart(trace.sensitivities,
-                                               scenario.scenario_id,
-                                               scenario.max_steps)
-                with open(os.path.join(chart_dir, "dependency.svg"), "w") as fp:
-                    fp.write(dep)
-                with open(os.path.join(chart_dir, "sensitivity.svg"), "w") as fp:
-                    fp.write(sen)
-                artifacts["charts"] = ["charts/dependency.svg",
-                                       "charts/sensitivity.svg"]
-    summary["artifacts"] = artifacts
-    return summary
+    traj.write_csv(os.path.join(run_dir, "trajectory.csv"))
+    hierarchy.write_trace_csv(trace, os.path.join(run_dir, "trace.csv"))
+    hierarchy.write_report_json(report, os.path.join(run_dir, "report.json"))
+    artifacts: dict = {"trajectories": ["trajectory.csv"],
+                       "traces": ["trace.csv"], "reports": ["report.json"]}
+    if charts_svg:
+        os.makedirs(os.path.join(run_dir, "charts"), exist_ok=True)
+        for rel, text in charts_svg.items():
+            with open(os.path.join(run_dir, rel), "w") as fp:
+                fp.write(text)
+        artifacts["charts"] = list(charts_svg)
+    return traj, report, artifacts
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.checkpoint_every < 0:
+        raise ValueError("--checkpoint-every must be >= 0")
     config = _resolve_config(args)
     run_id = args.run_id or f"train-{config.scenario_id}-seed{config.seed}"
     run_dir, result, _manifest = _train_run(
@@ -281,8 +268,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.rollouts < 1:
-        raise ValueError("--rollouts must be at least 1")
     if args.min_segment_length < 0:
         raise ValueError("--min-segment-length must be nonnegative")
     nets = maddpg.load_checkpoint(args.checkpoint)
@@ -294,9 +279,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = os.path.join(args.out, run_id)
     started = _now()
     environment = _environment()
-    summary = _analyze_into(
+    traj, report, artifacts = _analyze_into(
         run_dir, nets, scenario, seed=args.seed, svg=args.svg,
-        rollouts=args.rollouts, min_segment_length=args.min_segment_length,
+        min_segment_length=args.min_segment_length,
         checkpoint_ref=os.path.abspath(args.checkpoint))
     manifest = {
         "run_id": run_id,
@@ -305,16 +290,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "scenario_id": scenario.scenario_id,
         "seed": args.seed,
         "checkpoint": os.path.abspath(args.checkpoint),
-        "artifacts": summary["artifacts"],
+        "artifacts": artifacts,
         "environment": environment,
         "timestamps": {"started": started, "finished": _now()},
     }
     _write_manifest(run_dir, manifest)
-    seq = ">".join(str(x) for x in summary["leader_sequence"])
+    seq = ">".join(str(k + 1) for k in report.leader_sequence)
     print(f"run dir: {run_dir}")
-    print(f"rollout: {summary['steps']} steps, "
-          f"goal={'yes' if summary['goal'] else 'no'}")
-    print(f"pattern: {summary['pattern']}  leaders: {seq}")
+    print(f"rollout: {traj.n_steps} steps, "
+          f"goal={'yes' if traj.reached_goal() else 'no'}")
+    print(f"pattern: {report.pattern}  leaders: {seq}")
     return EXIT_OK
 
 
@@ -330,22 +315,22 @@ def _sweep_worker(payload: dict) -> dict:
             payload["checkpoint_every"], quiet=True)
         # the scenario that analyze and replay rebuild from its id, so the
         # log replays whatever episode length the seed trained at
-        summary = _analyze_into(
+        traj, report, artifacts = _analyze_into(
             run_dir, result.nets, world.build_scenario(config.scenario_id),
-            seed=config.seed, svg=payload["svg"], rollouts=1,
+            seed=config.seed, svg=payload["svg"],
             min_segment_length=payload["min_segment_length"],
             checkpoint_ref=os.path.join("checkpoints", "final"))
-        manifest["artifacts"].update(summary["artifacts"])
+        manifest["artifacts"].update(artifacts)
         manifest["resources"]["peak_rss_mb"] = _peak_rss_mb()
         manifest["timestamps"]["finished"] = _now()
         _write_manifest(run_dir, manifest)
         totals = result.episode_rewards.sum(axis=1)
-        row["pattern"] = summary["pattern"]
+        row["pattern"] = report.pattern
         row["leader_sequence"] = "|".join(
-            str(x) for x in summary["leader_sequence"])
+            str(k + 1) for k in report.leader_sequence)
         row["final_smoothed_reward"] = repr(
             float(maddpg.trailing_mean(totals)[-1]))
-        row["success"] = int(summary["goal"])
+        row["success"] = int(traj.reached_goal())
     except Exception as exc:  # recorded, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -365,6 +350,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds names seed(s) {repeated} more than once")
     if args.min_segment_length < 0:
         raise ValueError("--min-segment-length must be nonnegative")
+    if args.checkpoint_every < 0:
+        raise ValueError("--checkpoint-every must be >= 0")
     base = _resolve_config(args)
     payloads = []
     for seed in seeds:
@@ -448,8 +435,6 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run-id", default=None)
     p.add_argument("--svg", action="store_true",
                    help="also write dependency/sensitivity charts")
-    p.add_argument("--rollouts", type=int, default=1,
-                   help="number of greedy evaluation rollouts")
     p.add_argument("--min-segment-length", type=int, default=3)
     p.set_defaults(func=cmd_analyze)
 

@@ -255,16 +255,11 @@ def segment_phases(trace: DependencyTrace,
     while len(runs) > 1 and runs[0][1] - runs[0][0] < min_segment_length:
         runs[1][0] = runs[0][0]
         runs.pop(0)
-    merged = [runs[0]]
+    # a run is appended only under a leader other than the last segment's,
+    # and an absorption moves only an end, so neighbours always differ
+    segments = [runs[0]]
     for start, end, leader in runs[1:]:
-        if end - start < min_segment_length or leader == merged[-1][2]:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end, leader])
-    # coalesce neighbors left with one leader after the absorptions
-    segments: list[list[int]] = []
-    for start, end, leader in merged:
-        if segments and segments[-1][2] == leader:
+        if end - start < min_segment_length or leader == segments[-1][2]:
             segments[-1][1] = end
         else:
             segments.append([start, end, leader])

@@ -71,6 +71,9 @@ class TrainConfig:
     hidden: tuple[int, ...] = (128, 64)
 
     def validate(self) -> None:
+        if str(self.scenario_id).lower() not in world.SCENARIO_IDS:
+            raise ValueError(f"unknown scenario {self.scenario_id!r}; "
+                             "expected one of a, b, c")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got "
                              f"{list(self.hidden)}")

@@ -1,5 +1,6 @@
 """End-to-end command tests through main(argv), plus chart rendering."""
 import argparse
+import csv
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import MISFITS, misfit_team
-from hlab import charts, cli, maddpg, world
+from hlab import charts, cli, hierarchy, maddpg, world
 
 
 TINY = ["--episodes", "2", "--max-episode-length", "8",
@@ -120,6 +121,28 @@ class TestConfigResolution:
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"scenario_id": "z"}, [], "unknown scenario 'z'"),
+        ({}, ["--checkpoint-every", "-1"], "--checkpoint-every must be >= 0"),
+    ], ids=["config-scenario", "checkpoint-every"])
+    def test_rejected_before_any_seed_trains(self, tmp_path, capsys,
+                                             monkeypatch, command, config,
+                                             flags, message):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a seed was trained")
+
+        monkeypatch.setattr(maddpg, "train", no_train)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out), *TINY,
+                *flags]
+        argv += ["--seeds", "1,2"] if command == "sweep" else ["--quiet"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_flags_and_types(self):
         commands = next(a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction))
@@ -184,14 +207,19 @@ class TestAnalyzeCommand:
         rc = cli.main(["analyze",
                        "--checkpoint", str(run_dir / "checkpoints/final"),
                        "--scenario", "a", "--out", str(tmp_path),
-                       "--run-id", "an1", "--svg", "--rollouts", "2"])
+                       "--run-id", "an1", "--svg"])
         assert rc == cli.EXIT_OK
         an = tmp_path / "an1"
         for rel in ("trajectory.csv", "trace.csv", "report.json",
-                    "trajectory_2.csv", "trace_2.csv", "report_2.json",
                     "charts/dependency.svg", "charts/sensitivity.svg",
                     "manifest.json"):
             assert (an / rel).exists(), rel
+        assert not (an / "trajectory_2.csv").exists()
+        manifest = json.loads((an / "manifest.json").read_text())
+        assert manifest["artifacts"] == {
+            "trajectories": ["trajectory.csv"], "traces": ["trace.csv"],
+            "reports": ["report.json"],
+            "charts": ["charts/dependency.svg", "charts/sensitivity.svg"]}
         report = json.loads((an / "report.json").read_text())
         assert report["pattern"] in ("persistent_dominance",
                                      "alternating_dominance")
@@ -201,6 +229,36 @@ class TestAnalyzeCommand:
 
         rc = cli.main(["replay", str(an / "trajectory.csv")])
         assert rc == cli.EXIT_OK
+
+    def test_printed_pattern_and_leaders_match_report(self, tmp_path,
+                                                      capsys):
+        run_dir = run_train(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["analyze",
+                       "--checkpoint", str(run_dir / "checkpoints/final"),
+                       "--out", str(tmp_path), "--run-id", "an1"])
+        assert rc == cli.EXIT_OK
+        report = json.loads((tmp_path / "an1/report.json").read_text())
+        last = capsys.readouterr().out.splitlines()[-1]
+        pattern, leaders = last.split("  ")
+        assert pattern == f"pattern: {report['pattern']}"
+        assert leaders == "leaders: " + ">".join(
+            str(k) for k in report["leader_sequence"])
+
+    def test_failed_analysis_writes_nothing(self, tmp_path, capsys,
+                                            monkeypatch):
+        run_dir = run_train(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected segmentation failure")
+
+        monkeypatch.setattr(hierarchy, "segment_phases", broken)
+        rc = cli.main(["analyze",
+                       "--checkpoint", str(run_dir / "checkpoints/final"),
+                       "--out", str(tmp_path), "--run-id", "an1", "--svg"])
+        assert rc == cli.EXIT_USAGE
+        assert "injected segmentation failure" in capsys.readouterr().err
+        assert not (tmp_path / "an1").exists()
 
     def test_started_is_taken_before_the_work(self, tmp_path, monkeypatch):
         run_dir = run_train(tmp_path)
@@ -284,8 +342,7 @@ class TestAnalyzeCommand:
             in capsys.readouterr().err
         assert not (tmp_path / "an1").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--rollouts", "0"),
-                                             ("--min-segment-length", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--min-segment-length", "-1")])
     def test_bad_argument_exits_2_writing_nothing(self, tmp_path, capsys,
                                                   monkeypatch, flag, value):
         run_dir = run_train(tmp_path)
@@ -459,6 +516,26 @@ class TestSweepCommand:
             assert (d / "report.json").exists()
             assert (d / "trajectory.csv").exists()
 
+    def test_summary_row_matches_the_seed_files(self, tmp_path):
+        assert cli.main(["sweep", "--scenario", "a", "--seeds", "3,4",
+                         "--out", str(tmp_path), *TINY,
+                         "--checkpoint-every", "0"]) == cli.EXIT_OK
+        with open(tmp_path / "sweep-a-summary.csv", newline="") as fp:
+            rows = list(csv.DictReader(fp))
+        scenario = world.build_scenario("a")
+        for row in rows:
+            d = tmp_path / f"sweep-a-seed{row['seed']}"
+            report = json.loads((d / "report.json").read_text())
+            assert row["pattern"] == report["pattern"]
+            assert row["leader_sequence"] == "|".join(
+                str(k) for k in report["leader_sequence"])
+            last = world.read_trajectory_csv(d / "trajectory.csv").steps[-1]
+            box = np.array([last["box_x"], last["box_y"]])
+            goal = np.linalg.norm(box - scenario.target[0]) \
+                < scenario.goal_distance
+            assert row["success"] == str(int(goal))
+            assert row["error"] == ""
+
     def test_every_log_the_cli_writes_replays(self, tmp_path):
         # 8-step training episodes; analyze and sweep roll out at the
         # scenario's own horizon, which replay rebuilds from the header
@@ -551,7 +628,7 @@ class TestParser:
         ["train", "--scenario", "b", "--seed", "4", "--hidden", "16,8",
          "--episodes", "3", "--gamma", "0.9", "--quiet"],
         ["analyze", "--checkpoint", "ck", "--scenario", "c", "--svg",
-         "--rollouts", "2", "--min-segment-length", "0"],
+         "--min-segment-length", "0"],
         ["sweep", "--seeds", "1,2", "--batch-size", "8", "--svg"],
         ["replay", "log.csv", "--tol", "0.5"],
     ])

@@ -8,6 +8,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+# the files each demo writes into its working directory
+WRITES = {"01": ["hlab_demo_trajectory.csv"], "02": [], "03": [],
+          "04": ["hlab_demo_dependency.svg", "hlab_demo_sensitivity.svg"]}
 
 
 def test_all_four_demos_found():
@@ -22,3 +25,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.iterdir()) == WRITES[demo.name[:2]]

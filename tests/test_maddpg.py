@@ -126,10 +126,16 @@ class TestConfig:
         dict(max_grad_norm=float("nan")), dict(max_grad_norm=float("inf")),
         dict(epsilon_fraction=-1.0), dict(epsilon_fraction=float("nan")),
         dict(epsilon_fraction=float("inf")), dict(seed=-1),
+        dict(scenario_id="z"), dict(scenario_id=""),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
+
+    @pytest.mark.parametrize("sid", ["a", "B", "c"])
+    def test_scenario_id_accepted_as_build_scenario_accepts_it(self, sid):
+        TrainConfig(scenario_id=sid).validate()
+        world.build_scenario(sid)
 
     def test_json_round_trip(self):
         cfg = tiny_config(gamma=0.9, hidden=(16, 8))
