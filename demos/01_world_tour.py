@@ -2,6 +2,8 @@
 
 Run:  python3 demos/01_world_tour.py
 """
+import sys
+
 import numpy as np
 
 from hlab import world
@@ -52,8 +54,14 @@ while not states[-1].done:
     actions.append(idx)
     rewards.append(out.rewards)
 
+# The log takes the stepped states as (T, n + 1, 2) stacks: agents, then box.
 path = "hlab_demo_trajectory.csv"
-world.write_trajectory_csv(path, sc.scenario_id, states,
-                           np.array(actions), np.array(rewards))
+stepped = world.Worlds.of(states[1:])
+world.write_trajectory_csv(path, sc.scenario_id, stepped.pos, stepped.vel,
+                           np.array(actions), np.array(rewards),
+                           np.array([s.done for s in states[1:]]))
 print(f"\nwrote {len(actions)}-step random trajectory to {path}")
-print("replay says:", world.replay_trajectory(path).ok)
+replayed = world.replay_trajectory(path)
+print("replay says:", replayed.ok)
+if not replayed.ok:
+    sys.exit(f"replay failed: {replayed.message}")

@@ -21,7 +21,8 @@ A checkpoint that does not fit the scenario exits 3, also before anything
 is written: the wrong number of agents, an actor or critic of the wrong
 input width, an actor that is not a softmax over the 5 actions, or actors
 whose layer widths differ. analyze computes its whole analysis before it
-makes the run directory, so a failed analysis leaves none.
+makes the run directory, so a failed analysis leaves none. replay rebuilds
+the scenario its log's header names and takes one option, --tol.
 
 Exit codes: 0 success, 2 usage/config errors (an unusable path or an
 undecodable checkpoint too), 3 checkpoint/scenario incompatibility,
@@ -400,10 +401,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     if not args.tol >= 0:  # NaN too: no error would compare <= NaN
         raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
-    scenario = world.build_scenario(args.scenario) if args.scenario else None
     try:
-        result = world.replay_trajectory(args.trajectory, config=scenario,
-                                         tol=args.tol)
+        result = world.replay_trajectory(args.trajectory, tol=args.tol)
     except ValueError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -452,8 +451,6 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 def _replay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("trajectory", help="trajectory CSV path")
-    p.add_argument("--scenario", choices=world.SCENARIO_IDS, default=None,
-                   help="override the scenario named in the log header")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="largest absolute error allowed (>= 0)")
     p.set_defaults(func=cmd_replay)

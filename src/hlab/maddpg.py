@@ -753,13 +753,14 @@ class Trajectory:
     """One executed episode plus everything the analysis needs from it."""
 
     scenario_id: str
-    # T + 1 entries: the reset state, then the stepped states themselves,
-    # whose positions are read-only
-    states: list[WorldState]
+    # (T + 1, n + 1, 2) each, in Worlds' body order (the agents, then the
+    # box): the reset row, then the state after each step
+    pos: np.ndarray
+    vel: np.ndarray
     observations: np.ndarray  # (T, n, obs_dim), taken before each action
     action_indices: np.ndarray  # (T, n)
     rewards: np.ndarray  # (T, n)
-    done_reason: str | None
+    done_reason: str  # "goal" | "timeout": step T ends the episode
 
     @property
     def n_steps(self) -> int:
@@ -773,8 +774,10 @@ class Trajectory:
         return self.done_reason == "goal"
 
     def write_csv(self, path) -> None:
-        world.write_trajectory_csv(path, self.scenario_id, self.states,
-                                   self.action_indices, self.rewards)
+        world.write_trajectory_csv(path, self.scenario_id, self.pos[1:],
+                                   self.vel[1:], self.action_indices,
+                                   self.rewards,
+                                   np.arange(self.n_steps) == self.n_steps - 1)
 
 
 class IncompatibilityError(ValueError):
@@ -827,23 +830,20 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
     """Execute one episode. epsilon=0 gives the deterministic greedy policy."""
     policy = _team_forward(_team_actors(nets, scenario))
     n = scenario.n_agents
-    states = [world.reset(scenario)]
-    all_obs, all_idx, all_rew = [], [], []
-    for _live, obs, indices, out, _next_obs in _play(
-            world.Worlds.of(states), np.array([scenario.max_steps]), scenario,
-            lambda _live, _t, o: _greedy_fill(
-                policy, o, _exploration(epsilon, 1, n, rng))):
-        states.append(out.state(0))
-        all_obs.append(obs[0])
-        all_idx.append(indices[0])
-        all_rew.append(out.rewards[0])
+    start = world.Worlds.of([world.reset(scenario)])
+    _live, obs, indices, outs, _next_obs = zip(*_play(
+        start, np.array([scenario.max_steps]), scenario,
+        lambda _live, _t, o: _greedy_fill(
+            policy, o, _exploration(epsilon, 1, n, rng))))
+    # the budget is the horizon, so the last step ends the episode
     return Trajectory(
         scenario_id=scenario.scenario_id,
-        states=states,
-        observations=np.stack(all_obs),
-        action_indices=np.stack(all_idx),
-        rewards=np.stack(all_rew),
-        done_reason=states[-1].done_reason,
+        pos=np.concatenate([start.pos, *(out.worlds.pos for out in outs)]),
+        vel=np.concatenate([start.vel, *(out.worlds.vel for out in outs)]),
+        observations=np.concatenate(obs),
+        action_indices=np.concatenate(indices),
+        rewards=np.concatenate([out.rewards for out in outs]),
+        done_reason="goal" if outs[-1].goal[0] else "timeout",
     )
 
 
@@ -859,9 +859,9 @@ def trailing_mean(values: Sequence[float] | np.ndarray,
     return (csum[idx] - csum[lo]) / (idx - lo)
 
 
-def write_rewards_csv(path, totals: np.ndarray, window: int = 100) -> None:
+def write_rewards_csv(path, totals: np.ndarray) -> None:
     """Reward log: episode, total_reward, smoothed_reward_w100."""
-    smoothed = trailing_mean(totals, window)
+    smoothed = trailing_mean(totals)
     with open(path, "w", newline="") as fp:
         fp.write("episode,total_reward,smoothed_reward_w100\n")
         for k in range(len(totals)):
@@ -941,8 +941,9 @@ def _check_agent_doc(fname: str, k: int, doc) -> None:
     """The k-th file must be an object carrying label k and every network."""
     if not isinstance(doc, dict):
         raise ValueError(f"{fname} holds no JSON object")
-    if doc.get("agent") != k:
-        raise ValueError(f"{fname} carries agent label {doc.get('agent')}, "
+    label = doc.get("agent")
+    if type(label) is not int or label != k:
+        raise ValueError(f"{fname} carries agent label {label}, "
                          f"expected {k}")
     missing = [key for key in _NETS if key not in doc]
     if missing:

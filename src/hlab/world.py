@@ -748,50 +748,47 @@ def trajectory_columns(n_agents: int) -> list[str]:
     return cols
 
 
-def write_trajectory_csv(path, scenario_id: str, states: Sequence[WorldState],
-                         actions: np.ndarray, rewards: np.ndarray) -> None:
-    """states has T+1 entries (reset state first); actions/rewards are (T, n)."""
-    actions = np.asarray(actions)
-    rewards = np.asarray(rewards)
-    t_steps, n = rewards.shape
+def write_trajectory_csv(path, scenario_id: str, pos: np.ndarray,
+                         vel: np.ndarray, actions: np.ndarray,
+                         rewards: np.ndarray, done: np.ndarray) -> None:
+    """pos and vel are the post-step stacks (T, n + 1, 2) in Worlds' body
+    order; actions and rewards are (T, n), done is (T,)."""
+    t_steps, n = np.shape(rewards)
+    agents = np.concatenate((pos[:, :n], vel[:, :n]), axis=2)
+    floats = np.concatenate((agents.reshape(t_steps, 4 * n), pos[:, n],
+                             rewards), axis=1)
     with open(path, "w", newline="") as fp:
         fp.write(f"# {TRAJECTORY_MAGIC} scenario={scenario_id} agents={n}\n")
         writer = csv.writer(fp)
         writer.writerow(trajectory_columns(n))
-        for k in range(t_steps):
-            s = states[k + 1]
-            row: list = [k]
-            for i in range(n):
-                row += [repr(float(s.agent_pos[i, 0])), repr(float(s.agent_pos[i, 1])),
-                        repr(float(s.agent_vel[i, 0])), repr(float(s.agent_vel[i, 1]))]
-            row += [repr(float(s.box_pos[0])), repr(float(s.box_pos[1]))]
-            row += [repr(float(rewards[k, i])) for i in range(n)]
-            row += [int(s.done)]
-            row += [int(actions[k, i]) for i in range(n)]
-            writer.writerow(row)
+        for k, (row, d, acts) in enumerate(zip(
+                floats.tolist(), np.asarray(done, dtype=np.int64).tolist(),
+                np.asarray(actions, dtype=np.int64).tolist())):
+            writer.writerow([k, *map(repr, row), d, *acts])
 
 
 @dataclass
 class TrajectoryLog:
     scenario_id: str
     n_agents: int
-    steps: list[dict]  # parsed rows keyed by column name
+    table: np.ndarray  # (T, columns), in trajectory_columns order
 
 
 def read_trajectory_csv(path) -> TrajectoryLog:
     """Parse a trajectory log and check that it is well formed.
 
     Raises ValueError naming the header field or the step at fault: a
-    header without scenario= or agents=, columns off the schema, a row of
-    the wrong length or with a cell that does not parse, row k not labelled
-    step k, a done flag other than 0 or 1, a row after the episode's end,
-    or an action outside 0..4; also a line the csv module cannot read.
+    header other than the magic's, or without scenario= or agents=,
+    columns off the schema, a row of the wrong length or with a cell that
+    does not parse, row k not labelled step k, a done flag other than 0 or
+    1, a row after the episode's end, or an action outside 0..4; also a
+    line the csv module cannot read.
     """
     with open(path, newline="") as fp:
-        first = fp.readline()
-        if not first.startswith(f"# {TRAJECTORY_MAGIC}"):
+        first = fp.readline().split()
+        if first[:3] != ["#", *TRAJECTORY_MAGIC.split()]:
             raise ValueError("not an hlab trajectory file (missing header comment)")
-        meta = dict(tok.partition("=")[::2] for tok in first.split()[3:])
+        meta = dict(tok.partition("=")[::2] for tok in first[3:])
         for key in ("scenario", "agents"):
             if key not in meta:
                 raise ValueError(f"trajectory header has no {key}= field")
@@ -802,7 +799,7 @@ def read_trajectory_csv(path) -> TrajectoryLog:
                              f" is not an integer") from None
         reader = csv.reader(fp)
         try:
-            header, *rows = list(reader) or [None]
+            header, *lines = list(reader) or [None]
         except csv.Error as exc:
             raise ValueError(f"trajectory line {reader.line_num + 1}: "
                              f"{exc}") from None
@@ -812,36 +809,38 @@ def read_trajectory_csv(path) -> TrajectoryLog:
                          f"the schema for {n} agents")
     parsers = [int if key == "step" or key == "done"
                or key.startswith("action_") else float for key in expected]
-    steps: list[dict] = []
-    for raw in rows:
+    done = expected.index("done")  # the actions follow it
+    rows: list[list] = []
+    for raw in lines:
         if not raw:
             continue  # a blank line
-        k = len(steps)
+        k = len(rows)
         if len(raw) != len(expected):
             raise ValueError(f"step {k}: row has {len(raw)} fields, "
                              f"expected {len(expected)}")
-        row = {}
+        row = []
         for key, parse, cell in zip(expected, parsers, raw):
             try:
-                row[key] = parse(cell)
+                row.append(parse(cell))
             except ValueError:
                 kind = "an integer" if parse is int else "a number"
                 raise ValueError(f"step {k}: {key} = {cell!r} is not "
                                  f"{kind}") from None
-        if row["step"] != k:
-            raise ValueError(f"step {k}: row is labelled step {row['step']}")
-        if steps and steps[-1]["done"]:
+        if row[0] != k:
+            raise ValueError(f"step {k}: row is labelled step {row[0]}")
+        if rows and rows[-1][done]:
             raise ValueError(f"step {k}: row follows the episode's end "
                              f"at step {k - 1}")
-        if row["done"] not in (0, 1):
-            raise ValueError(f"step {k}: done = {row['done']}, not 0 or 1")
-        for i in range(1, n + 1):
-            a = row[f"action_{i}"]
+        if row[done] not in (0, 1):
+            raise ValueError(f"step {k}: done = {row[done]}, not 0 or 1")
+        for i, a in enumerate(row[done + 1:], start=1):
             if not 0 <= a < N_ACTIONS:
                 raise ValueError(f"step {k}: agent {i} logged action {a}, "
                                  f"not an index in 0..{N_ACTIONS - 1}")
-        steps.append(row)
-    return TrajectoryLog(scenario_id=meta["scenario"], n_agents=n, steps=steps)
+        rows.append(row)
+    # reshaped so that a log without rows is (0, columns) too
+    table = np.array(rows, dtype=float).reshape(len(rows), len(expected))
+    return TrajectoryLog(scenario_id=meta["scenario"], n_agents=n, table=table)
 
 
 @dataclass
@@ -851,9 +850,9 @@ class ReplayResult:
     message: str = ""
 
 
-def replay_trajectory(path, config: ScenarioConfig | None = None,
-                      tol: float = 1e-9) -> ReplayResult:
-    """Re-simulate a logged trajectory and verify positions/rewards match.
+def replay_trajectory(path, tol: float = 1e-9) -> ReplayResult:
+    """Re-simulate a logged trajectory in the scenario its header names and
+    verify positions/rewards match.
 
     The whole log is validated first (see read_trajectory_csv), then
     re-simulated, then compared at every step at once. The result names the
@@ -862,29 +861,24 @@ def replay_trajectory(path, config: ScenarioConfig | None = None,
     <= tol, NaN included, differs.
     """
     log = read_trajectory_csv(path)
-    if config is None:
-        config = build_scenario(log.scenario_id)
-    elif config.scenario_id != log.scenario_id:
-        raise ValueError(f"log was recorded in scenario {log.scenario_id!r} "
-                         f"but scenario {config.scenario_id!r} was requested")
+    config = build_scenario(log.scenario_id)
     if config.n_agents != log.n_agents:
         raise ValueError(f"log has {log.n_agents} agents, scenario has "
                          f"{config.n_agents}")
-    if not log.steps:
+    if not len(log.table):
         return ReplayResult(True)
     n = log.n_agents
-    # columns per trajectory_columns: step, n x (x, y, vx, vy), box x/y,
+    # the trajectory_columns blocks: step, n x (x, y, vx, vy), box x/y,
     # n rewards, done, n actions
-    table = np.array([list(row.values()) for row in log.steps], dtype=float)
-    agents = table[:, 1:1 + 4 * n].reshape(-1, n, 4)
-    box = table[:, 1 + 4 * n:3 + 4 * n]
-    rewards = table[:, 3 + 4 * n:3 + 5 * n]
-    done = table[:, 3 + 5 * n] == 1.0
+    _step, agents, box, rewards, done, actions = np.split(
+        log.table, np.cumsum([1, 4 * n, 2, n, 1]), axis=1)
+    agents = agents.reshape(-1, n, 4)
+    done = done[:, 0] == 1.0
 
     # the log's one world, stepped by step_worlds
     worlds = Worlds.of([reset(config)])
     stepped = []
-    for joint in table[:, 4 + 5 * n:].astype(np.intp)[:, None]:
+    for joint in actions.astype(np.intp)[:, None]:
         out = step_worlds(worlds, joint, config)
         worlds = out.worlds
         stepped.append(out)

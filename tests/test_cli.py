@@ -529,8 +529,9 @@ class TestSweepCommand:
             assert row["pattern"] == report["pattern"]
             assert row["leader_sequence"] == "|".join(
                 str(k) for k in report["leader_sequence"])
-            last = world.read_trajectory_csv(d / "trajectory.csv").steps[-1]
-            box = np.array([last["box_x"], last["box_y"]])
+            log = world.read_trajectory_csv(d / "trajectory.csv")
+            cols = world.trajectory_columns(log.n_agents)
+            box = log.table[-1, [cols.index("box_x"), cols.index("box_y")]]
             goal = np.linalg.norm(box - scenario.target[0]) \
                 < scenario.goal_distance
             assert row["success"] == str(int(goal))
@@ -652,6 +653,13 @@ class TestParser:
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["train", "--scenario", "z"])
+
+    def test_replay_takes_no_scenario(self, capsys):
+        # a log names its scenario in its header, and replay rebuilds that
+        with pytest.raises(SystemExit) as err:
+            cli.main(["replay", "log.csv", "--scenario", "a"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
     def test_installed_entry_point(self):
         """`hlab --help` works as the declared console script.

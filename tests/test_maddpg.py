@@ -734,8 +734,10 @@ class TestRollout:
         res = train(cfg)
         traj = rollout(res.nets, res.scenario)
         assert 1 <= traj.n_steps <= res.scenario.max_steps
-        assert len(traj.states) == traj.n_steps + 1
+        assert traj.pos.shape == traj.vel.shape == (traj.n_steps + 1, 4, 2)
         assert traj.rewards.shape == (traj.n_steps, 3)
+        # the arrays are the rollout's own
+        assert traj.pos.flags.writeable and traj.vel.flags.writeable
 
     def test_execution_only_reads_actors(self):
         cfg = tiny_config()
@@ -994,11 +996,14 @@ class TestRewardLogAndCheckpoints:
             loader, paths, capsys)
 
     @pytest.mark.parametrize("loader", LOADERS)
-    def test_loaders_reject_wrong_agent_label(self, saved, capsys, loader):
+    @pytest.mark.parametrize("label, k", [(2, 3), (True, 1)])
+    def test_loaders_reject_wrong_agent_label(self, saved, capsys, loader,
+                                              label, k):
+        # True == 1 in Python, but a JSON true is no agent label
         _nets, paths = saved
-        self._rewrite(paths[2], lambda doc: doc.update(agent=2))
-        assert "agent_3.json carries agent label 2, expected 3" in \
-            self._rejection(loader, paths, capsys)
+        self._rewrite(paths[k - 1], lambda doc: doc.update(agent=label))
+        assert f"agent_{k}.json carries agent label {label}, expected {k}" \
+            in self._rejection(loader, paths, capsys)
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_loaders_reject_missing_member(self, saved, capsys, loader):
@@ -1525,10 +1530,9 @@ def test_rollout_matches_per_agent_loop(scenario_id, epsilon):
     assert np.array_equal(traj.observations, obs)
     assert np.array_equal(traj.action_indices, idx)
     assert np.array_equal(traj.rewards, rew)
-    assert len(traj.states) == len(states)
-    for s, w in zip(traj.states, states):
-        assert s.step_index == w.step_index and s.done == w.done
-        for name in ("agent_pos", "agent_vel", "box_pos", "box_vel"):
-            assert np.array_equal(getattr(s, name), getattr(w, name)), name
+    want = world.Worlds.of(states)
+    assert np.array_equal(traj.pos, want.pos)
+    assert np.array_equal(traj.vel, want.vel)
+    assert traj.n_steps == len(states) - 1
     assert traj.done_reason == states[-1].done_reason
     assert got_rng.random() == want_rng.random()

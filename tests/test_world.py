@@ -405,16 +405,40 @@ class TestTrajectoryIO:
             rewards.append(out.rewards)
         return states, np.array(actions), np.array(rewards)
 
+    @staticmethod
+    def _write(path, scenario_id, states, actions, rewards):
+        """Log the episode through the stacks of its stepped states."""
+        stepped = world.Worlds.of(states[1:])
+        world.write_trajectory_csv(path, scenario_id, stepped.pos,
+                                   stepped.vel, actions, rewards,
+                                   np.array([s.done for s in states[1:]]))
+
     @pytest.mark.parametrize("scenario_id", world.SCENARIO_IDS)
     def test_round_trip_and_replay(self, tmp_path, scenario_id):
         cfg = build_scenario(scenario_id)
         states, actions, rewards = self._random_episode(cfg)
         path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, scenario_id, states, actions, rewards)
+        self._write(path, scenario_id, states, actions, rewards)
         log = world.read_trajectory_csv(path)
         assert log.scenario_id == scenario_id
         assert log.n_agents == 3
-        assert len(log.steps) == len(actions)
+        # the table holds every written value back, bit for bit
+        stepped = world.Worlds.of(states[1:])
+        want = {"step": np.arange(len(actions)),
+                "box_x": stepped.pos[:, 3, 0], "box_y": stepped.pos[:, 3, 1],
+                "done": [s.done for s in states[1:]]}
+        for i in range(3):
+            a = f"agent{i + 1}_"
+            want |= {a + "x": stepped.pos[:, i, 0],
+                     a + "y": stepped.pos[:, i, 1],
+                     a + "vx": stepped.vel[:, i, 0],
+                     a + "vy": stepped.vel[:, i, 1],
+                     f"reward_{i + 1}": rewards[:, i],
+                     f"action_{i + 1}": actions[:, i]}
+        cols = world.trajectory_columns(3)
+        assert log.table.shape == (len(actions), len(cols))
+        for col, name in zip(log.table.T, cols):
+            _assert_bits_equal(col, np.asarray(want[name], dtype=float), name)
         result = replay_trajectory(path)
         assert result.ok, result.message
 
@@ -422,7 +446,7 @@ class TestTrajectoryIO:
         cfg = build_scenario("a")
         states, actions, rewards = self._random_episode(cfg)
         path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        self._write(path, "a", states, actions, rewards)
         lines = path.read_text().splitlines()
         # perturb agent1_x in the row for step 4 (line 6: comment + header)
         row = lines[6].split(",")
@@ -433,20 +457,12 @@ class TestTrajectoryIO:
         assert not result.ok
         assert result.first_bad_step == 4
 
-    def test_replay_rejects_wrong_scenario(self, tmp_path):
-        cfg = build_scenario("a")
-        states, actions, rewards = self._random_episode(cfg)
-        path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, "a", states, actions, rewards)
-        with pytest.raises(ValueError, match="scenario"):
-            replay_trajectory(path, config=build_scenario("c"))
-
     @pytest.mark.parametrize("action", [7, -1])
     def test_replay_rejects_action_outside_range(self, tmp_path, action):
         cfg = build_scenario("a")
         states, actions, rewards = self._random_episode(cfg)
         path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        self._write(path, "a", states, actions, rewards)
         lines = path.read_text().splitlines()
         # action_2 in the row for step 4 (line 6: comment + header)
         col = lines[1].split(",").index("action_2")
@@ -462,7 +478,7 @@ class TestTrajectoryIO:
         cfg = build_scenario("a")
         states, actions, rewards = self._random_episode(cfg, steps=steps)
         path = tmp_path / "traj.csv"
-        world.write_trajectory_csv(path, "a", states, actions, rewards)
+        self._write(path, "a", states, actions, rewards)
         return path, path.read_text().splitlines()
 
     def test_replay_fails_on_nan_cell(self, tmp_path):
@@ -491,6 +507,16 @@ class TestTrajectoryIO:
         lines[0] = f"# {world.TRAJECTORY_MAGIC} agents=3"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="header has no scenario= field"):
+            replay_trajectory(path)
+
+    def test_reader_rejects_other_version(self, tmp_path):
+        # a version that merely starts with the magic's is not v1
+        path, lines = self._logged_lines(tmp_path)
+        lines[0] = lines[0].replace(world.TRAJECTORY_MAGIC,
+                                    world.TRAJECTORY_MAGIC + "7")
+        assert lines[0] == "# hlab-trajectory v17 scenario=a agents=3"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not an hlab trajectory file"):
             replay_trajectory(path)
 
     def test_reader_rejects_short_row(self, tmp_path):
