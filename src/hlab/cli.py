@@ -182,7 +182,7 @@ def _train_run(config: maddpg.TrainConfig, out: str, run_id: str,
     totals = result.episode_rewards.sum(axis=1)
     maddpg.write_rewards_csv(os.path.join(run_dir, "rewards.csv"), totals)
     with open(os.path.join(run_dir, "scenario.json"), "w") as fp:
-        result.scenario.to_json(fp)
+        fp.write(json.dumps(result.scenario.to_json_dict(), indent=2))
 
     manifest = {
         "run_id": run_id,

@@ -308,34 +308,6 @@ def write_trace_csv(trace: DependencyTrace, path) -> None:
             writer.writerow([t, *map(repr, deps), *map(repr, grads)])
 
 
-def read_trace_csv(path, scenario_id: str) -> DependencyTrace:
-    """Read a trace written by write_trace_csv.
-
-    trace.csv holds no scenario, so the caller names it: the run's
-    scenario.json or its report.json do.
-    """
-    with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        fields = reader.fieldnames or []
-        n = sum(1 for c in fields if c.startswith("D_"))
-        if n < 2 or fields != trace_columns(n):
-            raise ValueError(f"unrecognized trace columns: {fields}")
-        # n D values and n(n-1) off-diagonal sensitivities: n * n a row
-        values = np.array([[float(raw[c]) for c in fields[1:]]
-                           for raw in reader]).reshape(-1, n * n)
-    deps = values[:, :n]
-    sens = np.zeros((len(values), n, n))
-    sens[:, ~np.eye(n, dtype=bool)] = values[:, n:]
-    leaders, ties, _flat = _leaders_and_ties(deps)
-    return DependencyTrace(
-        scenario_id=scenario_id,
-        dependencies=deps,
-        sensitivities=sens,
-        leaders=leaders,
-        ties=ties,
-    )
-
-
 def report_to_json_dict(report: HierarchyReport) -> dict:
     return {
         "scenario_id": report.scenario_id,

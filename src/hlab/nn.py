@@ -222,15 +222,18 @@ def input_jacobians(params: MlpParams, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Optimization
 
+# Adam's moment decay rates and the guard added to the step's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moments (or bare SGD when algo='sgd')."""
 
     algo: Literal["adam", "sgd"] = "adam"
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -269,13 +272,13 @@ def clip_and_apply(params: MlpParams, grads: MlpParams, opt: OptimizerState,
     targets = [a for pair in zip(params.weights, params.biases) for a in pair]
     if opt.algo == "adam":
         opt.t += 1
-        bc1 = 1.0 - opt.beta1 ** opt.t
-        bc2 = 1.0 - opt.beta2 ** opt.t
+        bc1 = 1.0 - ADAM_BETA1 ** opt.t
+        bc2 = 1.0 - ADAM_BETA2 ** opt.t
         for g, m, v, p in zip(arrays, opt.m, opt.v, targets):
             gs = g * scale
-            m[...] = opt.beta1 * m + (1.0 - opt.beta1) * gs
-            v[...] = opt.beta2 * v + (1.0 - opt.beta2) * gs * gs
-            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs
+            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     else:
         for g, p in zip(arrays, targets):
             p -= opt.lr * g * scale

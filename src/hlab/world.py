@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,35 +172,6 @@ class ScenarioConfig:
             "box_mass": self.box_mass,
             "goal_threshold": self.goal_threshold,
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
-        agents = doc["agents"]
-        return cls(
-            scenario_id=doc["scenario_id"],
-            agent_starts=[tuple(a["pos"]) for a in agents],
-            agent_radius=float(agents[0]["radius"]),
-            box_start=tuple(doc["box"]["pos"]),
-            box_radius=float(doc["box"]["radius"]),
-            obstacles=[(tuple(o["pos"]), float(o["radius"])) for o in doc["obstacles"]],
-            target=(tuple(doc["target"]["pos"]), float(doc["target"]["radius"])),
-            world_bound=float(doc["world_bound"]),
-            max_steps=int(doc["max_steps"]),
-            dt=float(doc["dt"]),
-            damping=float(doc["damping"]),
-            stiffness=float(doc["stiffness"]),
-            contact_margin=float(doc.get("contact_margin", 1e-3)),
-            force=float(doc["force"]),
-            agent_mass=float(doc.get("agent_mass", 1.0)),
-            box_mass=float(doc.get("box_mass", 1.0)),
-            goal_threshold=doc.get("goal_threshold"),
-        )
-
-    def to_json(self, fp: IO[str] | None = None) -> str:
-        text = json.dumps(self.to_json_dict(), indent=2)
-        if fp is not None:
-            fp.write(text)
-        return text
 
 
 def build_scenario(scenario_id: str, **overrides) -> ScenarioConfig:
@@ -781,8 +751,9 @@ def read_trajectory_csv(path) -> TrajectoryLog:
     header other than the magic's, or without scenario= or agents=,
     columns off the schema, a row of the wrong length or with a cell that
     does not parse, row k not labelled step k, a done flag other than 0 or
-    1, a row after the episode's end, or an action outside 0..4; also a
-    line the csv module cannot read.
+    1, a row after the episode's end, a log without rows or whose last row
+    does not end the episode, or an action outside 0..4; also a line the
+    csv module cannot read.
     """
     with open(path, newline="") as fp:
         first = fp.readline().split()
@@ -838,8 +809,12 @@ def read_trajectory_csv(path) -> TrajectoryLog:
                 raise ValueError(f"step {k}: agent {i} logged action {a}, "
                                  f"not an index in 0..{N_ACTIONS - 1}")
         rows.append(row)
-    # reshaped so that a log without rows is (0, columns) too
-    table = np.array(rows, dtype=float).reshape(len(rows), len(expected))
+    if not rows:
+        raise ValueError("trajectory has no steps")
+    if not rows[-1][done]:
+        raise ValueError(f"step {len(rows) - 1}: log ends before the "
+                         f"episode does (done = 0)")
+    table = np.array(rows, dtype=float)
     return TrajectoryLog(scenario_id=meta["scenario"], n_agents=n, table=table)
 
 
@@ -865,8 +840,6 @@ def replay_trajectory(path, tol: float = 1e-9) -> ReplayResult:
     if config.n_agents != log.n_agents:
         raise ValueError(f"log has {log.n_agents} agents, scenario has "
                          f"{config.n_agents}")
-    if not len(log.table):
-        return ReplayResult(True)
     n = log.n_agents
     # the trajectory_columns blocks: step, n x (x, y, vx, vy), box x/y,
     # n rewards, done, n actions

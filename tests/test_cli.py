@@ -454,9 +454,21 @@ class TestReplayCommand:
         lines[3] = "1" * 200_000 + lines[3][lines[3].index(","):]
         return "trajectory line 4: field larger than field limit"
 
+    @staticmethod
+    def _cut_after_step_9(lines):
+        assert len(lines) > 12  # the episode goes on past step 9
+        del lines[12:]
+        return "step 9: log ends before the episode does (done = 0)"
+
+    @staticmethod
+    def _header_only(lines):
+        del lines[2:]
+        return "trajectory has no steps"
+
     @pytest.mark.parametrize("edit", ["_after_end", "_no_scenario",
                                       "_short_row", "_relabelled",
-                                      "_huge_field"])
+                                      "_huge_field", "_cut_after_step_9",
+                                      "_header_only"])
     def test_malformed_log_exits_5(self, tmp_path, capsys, edit):
         run_dir = run_train(tmp_path)
         cli.main(["analyze", "--checkpoint",

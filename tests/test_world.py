@@ -93,11 +93,22 @@ class TestScenarioGeometry:
         cfg = build_scenario("a")
         assert cfg.goal_distance == 0.075 + 0.075
 
-    def test_json_round_trip(self):
-        cfg = build_scenario("b")
-        doc = cfg.to_json_dict()
-        back = ScenarioConfig.from_json_dict(doc)
-        assert back == cfg
+    def test_json_dict_values(self):
+        # the content of a train run's scenario.json
+        assert build_scenario("b").to_json_dict() == {
+            "scenario_id": "b",
+            "agents": [{"pos": [0.0, -0.75], "radius": 0.05},
+                       {"pos": [0.5, -0.75], "radius": 0.05},
+                       {"pos": [-0.5, -0.75], "radius": 0.05}],
+            "box": {"pos": [0.0, -0.5], "radius": 0.075},
+            "obstacles": [{"pos": [-0.3, 0.0], "radius": 0.2},
+                          {"pos": [0.3, 0.0], "radius": 0.2}],
+            "target": {"pos": [0.9, 0.9], "radius": 0.075},
+            "world_bound": 1.0, "max_steps": 50, "dt": 0.1,
+            "damping": 0.25, "stiffness": 100.0, "contact_margin": 0.001,
+            "force": 3.0, "agent_mass": 1.0, "box_mass": 1.0,
+            "goal_threshold": None,
+        }
 
     def test_validate_rejects_overlapping_obstacle(self):
         with pytest.raises(ValueError, match="overlaps the box"):
@@ -389,14 +400,13 @@ class TestObservations:
 
 
 class TestTrajectoryIO:
-    def _random_episode(self, cfg, seed=11, steps=12):
+    def _random_episode(self, cfg, seed=11):
+        """One episode of uniform random actions, played to its end."""
         rng = np.random.default_rng(seed)
         s = reset(cfg)
         states = [s.copy()]
         actions, rewards = [], []
-        for _ in range(steps):
-            if s.done:
-                break
+        while not s.done:
             idx = rng.integers(0, 5, size=cfg.n_agents)
             out = step(s, np.stack([action_one_hot(a) for a in idx]), cfg)
             s = out.next_state
@@ -474,9 +484,9 @@ class TestTrajectoryIO:
                                              f"action {action}, not an index"):
             replay_trajectory(path)
 
-    def _logged_lines(self, tmp_path, steps=12):
+    def _logged_lines(self, tmp_path):
         cfg = build_scenario("a")
-        states, actions, rewards = self._random_episode(cfg, steps=steps)
+        states, actions, rewards = self._random_episode(cfg)
         path = tmp_path / "traj.csv"
         self._write(path, "a", states, actions, rewards)
         return path, path.read_text().splitlines()
@@ -493,13 +503,25 @@ class TestTrajectoryIO:
         assert result.message == "agent positions diverge at step 4 (|err|=nan)"
 
     def test_replay_rejects_row_after_episode_end(self, tmp_path):
-        path, lines = self._logged_lines(tmp_path, steps=60)
+        path, lines = self._logged_lines(tmp_path)
         assert lines[-1].split(",")[-4] == "1"  # the episode ended
         t = len(lines) - 2
         lines.append(",".join([str(t)] + lines[-1].split(",")[1:]))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"step {t}: row follows the "
                                              f"episode's end at step {t - 1}"):
+            replay_trajectory(path)
+
+    @pytest.mark.parametrize("kept, message", [
+        (12, "step 9: log ends before the episode does"),  # steps 0..9
+        (2, "trajectory has no steps"),  # the two header lines
+    ])
+    def test_reader_rejects_log_that_does_not_end_its_episode(
+            self, tmp_path, kept, message):
+        path, lines = self._logged_lines(tmp_path)
+        assert len(lines) > 12 and lines[-1].split(",")[-4] == "1"
+        path.write_text("\n".join(lines[:kept]) + "\n")
+        with pytest.raises(ValueError, match=message):
             replay_trajectory(path)
 
     def test_reader_rejects_header_without_scenario(self, tmp_path):
@@ -607,9 +629,9 @@ class TestCarriedGeometry:
         moved = ((float(s.agent_pos[1, 0]) + 0.25,
                   float(s.agent_pos[1, 1])), 0.2)
         replaced = dataclasses.replace(c, obstacles=[moved])
-        doc = c.to_json_dict()
-        doc["obstacles"] = [{"pos": list(moved[0]), "radius": moved[1]}]
-        fresh = ScenarioConfig.from_json_dict(doc)
+        fresh = ScenarioConfig(**{**{f.name: getattr(c, f.name)
+                                     for f in dataclasses.fields(c)},
+                                  "obstacles": [moved]})
         joint = np.eye(5)[[3, 1, 0]]
         want = step(self._fresh(s), joint, fresh)
         _assert_outcomes_equal(step(s, joint, replaced), want)
