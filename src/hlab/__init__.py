@@ -13,4 +13,4 @@ Modules:
 
 Callers import these modules; the package itself defines only __version__.
 """
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,6 +14,11 @@ Update cadence follows the step counter, not episodes: after
 (critic first, then actor, on one freshly sampled batch per agent) and then
 soft-updates all target networks once. The episodes between two rounds are
 played side by side, as one batch of lock-step worlds (see train).
+
+Training runs in TRAIN_DTYPE, float32: every network and Adam moment, the
+replay buffer's observations and rewards, and so every update round. The
+teams act on float64 widenings of the actors (_team_forward), so a rollout
+or an analysis of live networks equals that of their saved checkpoint.
 """
 from __future__ import annotations
 
@@ -44,6 +49,9 @@ from hlab.world import ACTION_ONE_HOTS, N_ACTIONS, ScenarioConfig, WorldState
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+# the one training precision: networks, optimizer state, replay, updates
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -144,7 +152,8 @@ def epsilon_for_episode(episode: int, config: TrainConfig) -> float:
 @dataclass
 class AgentNets:
     """One agent's networks and optimizers. A loaded checkpoint has no
-    optimizers: Adam's moments are not saved, so it cannot be trained on."""
+    optimizers: Adam's moments are not saved, so it cannot be trained on.
+    create's networks are TRAIN_DTYPE, a loaded checkpoint's float64."""
 
     actor: MlpParams
     critic: MlpParams
@@ -157,8 +166,11 @@ class AgentNets:
     def create(cls, obs_dim: int, joint_dim: int, hidden: Sequence[int],
                lr_actor: float, lr_critic: float,
                rng: np.random.Generator) -> "AgentNets":
-        actor = init_params(obs_dim, hidden, N_ACTIONS, "softmax", rng)
-        critic = init_params(joint_dim, hidden, 1, "linear", rng)
+        # drawn in float64, then rounded: the seeded draws do not change
+        actor = init_params(obs_dim, hidden, N_ACTIONS, "softmax",
+                            rng).astype(TRAIN_DTYPE)
+        critic = init_params(joint_dim, hidden, 1, "linear",
+                             rng).astype(TRAIN_DTYPE)
         return cls(
             actor=actor,
             critic=critic,
@@ -180,11 +192,13 @@ class Transition:
 
 @dataclass
 class Batch:
+    """A sample of transitions; the float fields share one dtype."""
+
     obs: np.ndarray  # (m, n, obs_dim)
     action_indices: np.ndarray  # (m, n)
     rewards: np.ndarray  # (m, n)
     next_obs: np.ndarray  # (m, n, obs_dim)
-    terminal: np.ndarray  # (m,) float 0/1
+    terminal: np.ndarray  # (m,) 0/1
 
     @property
     def size(self) -> int:
@@ -218,6 +232,7 @@ class ReplayBuffer:
 
     sample picks slots as a ring of capacity slots would and returns what
     one array of observations and one of next observations would hold.
+    Observations and rewards are stored, and sampled, in TRAIN_DTYPE.
 
     A buffer is filled by put (a stream of lock-step worlds, which says
     where episodes end) or by push (a one-row put of a transition that
@@ -233,9 +248,9 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._slots = slots = capacity + 1  # also the first final row
-        self._obs = np.zeros((2 * slots, n_agents, obs_dim))
+        self._obs = np.zeros((2 * slots, n_agents, obs_dim), TRAIN_DTYPE)
         self._idx = np.zeros((slots, n_agents), dtype=np.int64)
-        self._rew = np.zeros((slots, n_agents))
+        self._rew = np.zeros((slots, n_agents), TRAIN_DTYPE)
         self._next_row = np.zeros(slots, dtype=np.int64)
         self._term = np.zeros(slots, dtype=bool)
         self._total = 0  # stream transitions held so far
@@ -301,7 +316,7 @@ class ReplayBuffer:
             action_indices=self._idx[k],
             rewards=self._rew[k],
             next_obs=self._obs[self._next_row[k]],
-            terminal=self._term[k].astype(float),
+            terminal=self._term[k].astype(TRAIN_DTYPE),
         )
 
 
@@ -309,6 +324,11 @@ def _joint_input(obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """(m, n, od) + (m, n, 5) -> (m, n*od + n*5) critic input."""
     m = obs.shape[0]
     return np.hstack([obs.reshape(m, -1), actions.reshape(m, -1)])
+
+
+def _one_hots(batch: Batch) -> np.ndarray:
+    """The batch's executed actions as one-hots (m, n, 5), in its dtype."""
+    return ACTION_ONE_HOTS.astype(batch.obs.dtype)[batch.action_indices]
 
 
 def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
@@ -335,16 +355,20 @@ def _team_forward(actors: Sequence[MlpParams]
                   ) -> Callable[[np.ndarray], np.ndarray]:
     """obs (..., n, d) -> every actor's soft output on its own row, (..., n, 5).
 
-    Row i of each team equals forward(actors[i], obs[..., i, :]) bit for
-    bit. The actors are softmax networks of one shape (_team_actors checks
-    a team that did not come from build_agents) and run as one batched
-    network: matmul broadcasts (..., n, 1, d) @ (n, d, h), which runs the
-    same one-row product on each (team, agent) slice as forward does, and
-    every other operation acts elementwise or along rows. The stack is a
-    copy of the weights, so the function goes stale once an actor changes.
+    Row i of each team equals forward(actors[i].astype(float),
+    obs[..., i, :]) bit for bit: the weights are stacked as float64, so a
+    float32 actor acts through its exact widening. The actors are softmax
+    networks of one shape (_team_actors checks a team that did not come
+    from build_agents) and run as one batched network: matmul broadcasts
+    (..., n, 1, d) @ (n, d, h), which runs the same one-row product on each
+    (team, agent) slice as forward does, and every other operation acts
+    elementwise or along rows. The stack is a copy of the weights, so the
+    function goes stale once an actor changes.
     """
-    layers = [(np.stack([a.weights[l] for a in actors]).transpose(0, 2, 1),
-               np.stack([a.biases[l] for a in actors])[:, None, :])
+    layers = [(np.stack([a.weights[l] for a in actors],
+                        dtype=float).transpose(0, 2, 1),
+               np.stack([a.biases[l] for a in actors],
+                        dtype=float)[:, None, :])
               for l in range(actors[0].n_layers)]
 
     def probs(obs: np.ndarray) -> np.ndarray:
@@ -447,7 +471,7 @@ def critic_update(agent: int, nets: list[AgentNets], batch: Batch,
     x_next = _joint_input(batch.next_obs, next_probs)
     q_next = forward(nets[agent].target_critic, x_next)[:, 0]
     y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
-    x = _joint_input(batch.obs, ACTION_ONE_HOTS[batch.action_indices])
+    x = _joint_input(batch.obs, _one_hots(batch))
     cache = forward(nets[agent].critic, x, return_cache=True)
     err = cache[0][:, 0] - y
     loss = float(np.mean(err ** 2))
@@ -480,7 +504,7 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     obs_i = batch.obs[:, agent]
     # one actor pass gives the critic's soft input and the actor backward
     probs, actor_cache = forward(actor, obs_i, return_cache=True)
-    actions = ACTION_ONE_HOTS[batch.action_indices]
+    actions = _one_hots(batch)
     actions[:, agent] = probs
     x = _joint_input(batch.obs, actions)
     cache = forward(critic, x, return_cache=True)
@@ -491,7 +515,8 @@ def actor_update(agent: int, nets: list[AgentNets], batch: Batch,
     own_slot = MlpParams(
         [critic.weights[0][:, start:start + N_ACTIONS], *critic.weights[1:]],
         critic.biases, critic.head)
-    g_action = input_gradient(own_slot, x, np.full((m, 1), -1.0 / m), cache)
+    g_action = input_gradient(own_slot, x, np.full((m, 1), -1.0 / m, x.dtype),
+                              cache)
     del cache, x
     g_logits = _head_vjp(actor, g_action, probs)
     _acts, logits, _squeeze = actor_cache
@@ -544,14 +569,16 @@ def _retain_freed_memory() -> None:
     An update round allocates and frees megabytes of batch-sized numpy
     temporaries. Under glibc's default, self-adjusting thresholds the heap
     top is handed back to the kernel after each round, and every page of it
-    faults in again during the next: about 3,000 minor faults per round at
-    batch 256. A fixed 32 MiB trim threshold keeps that memory mapped.
-    Setting one threshold freezes both, so the mmap threshold is fixed too,
-    at glibc's 32 MiB maximum: a (1256, 128) float64 temporary of a
-    batch-1256 round (1.29 MB) then comes from the heap as well, instead of
-    a fresh mapping whose 315 pages fault in on every use. Measured on a
-    2-vCPU x86_64 host (glibc 2.36, OPENBLAS_NUM_THREADS=1), scenario c at
-    batch 1256 (hidden 128/64), against a 1 MiB mmap threshold: 80 episodes took 3.9-4.2k minor faults
+    faults in again during the next. A fixed 32 MiB trim threshold keeps
+    that memory mapped. Setting one threshold freezes both, so the mmap
+    threshold is fixed too, at glibc's 32 MiB maximum: a (1256, 128)
+    float32 temporary of a batch-1256 round (643 kB) then comes from the
+    heap as well, instead of a fresh mapping whose 158 pages fault in on
+    every use. Measured when training was float64, whose temporaries are
+    twice those sizes, on a 2-vCPU x86_64 host (glibc 2.36,
+    OPENBLAS_NUM_THREADS=1): about 3,000 minor faults per round at batch
+    256 under the default; scenario c at batch 1256 (hidden 128/64),
+    against a 1 MiB mmap threshold, 80 episodes took 3.9-4.2k minor faults
     instead of 33.4k, and 400 episodes 4.1-4.3k instead of 183.5-183.8k,
     with peak resident sets of 53.4-54.0 against 54.0 MB and of 61.6-62.2
     against 60.9-62.2 MB, so the retained heap did not raise the peak.
@@ -786,8 +813,12 @@ class IncompatibilityError(ValueError):
 
 def _team_actors(nets: Sequence[AgentNets] | Sequence[MlpParams],
                  scenario: ScenarioConfig) -> list[MlpParams]:
-    """The team's actors, once checked against the scenario; raises
-    IncompatibilityError, naming the agent 1-based, if the team misfits.
+    """The team's actors, once checked against the scenario, as float64
+    widenings; raises IncompatibilityError, naming the agent 1-based, if
+    the team misfits.
+
+    Widening is exact, so live float32 networks act and are analysed as
+    their saved checkpoint is, bit for bit.
 
     One actor per agent, each a softmax over the N_ACTIONS actions on the
     scenario's observations with agent 1's layer widths, so that the team
@@ -821,7 +852,7 @@ def _team_actors(nets: Sequence[AgentNets] | Sequence[MlpParams],
             raise IncompatibilityError(
                 f"agent {k} critic expects {a.critic.in_dim}-dim input, "
                 f"scenario joint input is {scenario.joint_dim}-dim")
-    return actors
+    return [a.astype(float) for a in actors]
 
 
 def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],

@@ -4,7 +4,13 @@ Everything the trainer and the analysis need from a network lives here:
 forward evaluation, reverse-mode gradients with respect to parameters and
 inputs, reverse-accumulated input Jacobians (at one input, or stacked over
 many), Adam/SGD steps guarded by global-norm clipping, and Polyak target
-updates. float64 throughout.
+updates.
+
+Precision follows the operands. A pass over float32 weights and a float32
+input runs in float32; lists, integers and float64 arrays are taken as
+float64, and float64 wins any mix. Training is float32: networks, Adam
+moments and batches. Acting, the Jacobian analysis and checkpoints use
+float64 widenings of those weights (MlpParams.astype), which are exact.
 
 A network is a list of (W, b) layers. Hidden layers use ReLU; the head is
 either linear (value heads) or softmax (action heads). Softmax outputs are
@@ -50,6 +56,12 @@ class MlpParams:
         return MlpParams([w.copy() for w in self.weights],
                          [b.copy() for b in self.biases], self.head)
 
+    def astype(self, dtype) -> "MlpParams":
+        """The network in dtype; arrays that already have it are shared."""
+        return MlpParams([w.astype(dtype, copy=False) for w in self.weights],
+                         [b.astype(dtype, copy=False) for b in self.biases],
+                         self.head)
+
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
                                for a in pair])
@@ -79,6 +91,12 @@ def init_params(in_dim: int, hidden: Sequence[int], out_dim: int, head: Head,
     return MlpParams(weights, biases, head)
 
 
+def _as_float(x) -> np.ndarray:
+    """x as a float array: float32 stays float32, anything else float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -93,7 +111,7 @@ def forward(params: MlpParams, x: np.ndarray,
     layer activations (input first, output last) and the head's
     pre-activation (the logits under a softmax head).
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_float(x)
     squeeze = x.ndim == 1
     h = x.reshape(1, -1) if squeeze else x
     if h.shape[1] != params.in_dim:
@@ -136,7 +154,7 @@ def _head_grad(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
     if cache is None:
         cache = forward(params, x, return_cache=True)
     out, (acts, _logits, squeeze) = cache
-    u = np.asarray(upstream, dtype=float)
+    u = _as_float(upstream)
     if squeeze:
         u = u.reshape(1, -1)
         out = out.reshape(1, -1)

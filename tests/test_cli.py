@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import MISFITS, misfit_team
+import hlab
 from hlab import charts, cli, hierarchy, maddpg, world
 
 
@@ -381,6 +382,19 @@ class TestManifestEnvironment:
             assert env["blas"]["name"]
             assert env["OPENBLAS_NUM_THREADS"] == "1"
             assert env["OMP_NUM_THREADS"] is None
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        # pyproject's [project] version, read as text: tomllib is missing
+        # on Python 3.10
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+        lines = [line for line in project.splitlines()
+                 if line.startswith("version = ")]
+        assert lines == [f'version = "{hlab.__version__}"']
+        manifest = json.loads((run_train(tmp_path) / "manifest.json")
+                              .read_text())
+        assert manifest["tool"] == {"name": "hlab",
+                                    "version": hlab.__version__}
 
     def test_train_and_sweep_record_peak_rss(self, tmp_path):
         run_dirs = [run_train(tmp_path)]

@@ -326,6 +326,30 @@ class TestAnalyzeRollout:
         assert [(s.start, s.end, s.leader) for s in a.segments] == \
             [(s.start, s.end, s.leader) for s in b.segments]
 
+    @pytest.mark.parametrize("scenario_id", ["a", "b", "c"])
+    def test_live_nets_analyse_as_their_checkpoint(self, scenario_id,
+                                                   tmp_path):
+        # live networks are float32, loaded ones float64; both act and are
+        # analysed through the same exact widening
+        cfg = TrainConfig(scenario_id=scenario_id, max_episodes=4,
+                          max_episode_length=12, learning_start_step=12,
+                          learning_frequency=6, batch_size=8,
+                          memory_size=64, hidden=(16, 8), seed=4)
+        live = train(cfg).nets
+        save_checkpoint(live, tmp_path / "ck")
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert live[0].actor.weights[0].dtype == np.float32
+        assert loaded[0].actor.weights[0].dtype == np.float64
+        sc = world.build_scenario(scenario_id)
+        for name, nets in (("live", live), ("loaded", loaded)):
+            traj = rollout(nets, sc)
+            traj.write_csv(tmp_path / f"{name}_trajectory.csv")
+            write_trace_csv(analyze_rollout(traj, nets, sc),
+                            tmp_path / f"{name}_trace.csv")
+        for kind in ("trajectory", "trace"):
+            assert (tmp_path / f"live_{kind}.csv").read_bytes() \
+                == (tmp_path / f"loaded_{kind}.csv").read_bytes(), kind
+
 
 class TestSegmentPhases:
     def test_three_phase_example(self):

@@ -42,29 +42,32 @@ def tiny_config(**kw) -> TrainConfig:
 
 
 def synthetic_world(rng, n_agents=2, obs_dim=4, hidden=(5, 4),
-                    batch=3, algo="adam", lr=0.01):
-    """Small agent population over made-up observations."""
+                    batch=3, algo="adam", lr=0.01, dtype=maddpg.TRAIN_DTYPE):
+    """Small agent population over made-up observations, in the training
+    precision unless dtype says otherwise."""
     joint = n_agents * obs_dim + n_agents * world.N_ACTIONS
     nets = []
     for _ in range(n_agents):
         actor = nn.init_params(obs_dim, hidden, world.N_ACTIONS, "softmax",
-                               rng)
-        critic = nn.init_params(joint, hidden, 1, "linear", rng)
+                               rng).astype(dtype)
+        critic = nn.init_params(joint, hidden, 1, "linear",
+                                rng).astype(dtype)
         nets.append(AgentNets(
             actor=actor, critic=critic,
             target_actor=actor.copy(), target_critic=critic.copy(),
             actor_opt=nn.OptimizerState.for_params(actor, lr, algo=algo),
             critic_opt=nn.OptimizerState.for_params(critic, lr, algo=algo)))
-    return nets, random_batch(rng, batch, n_agents, obs_dim)
+    return nets, random_batch(rng, batch, n_agents, obs_dim, dtype)
 
 
-def random_batch(rng, batch, n_agents, obs_dim):
+def random_batch(rng, batch, n_agents, obs_dim, dtype=maddpg.TRAIN_DTYPE):
+    """A batch as ReplayBuffer.sample returns one: floats in dtype."""
     return Batch(
-        obs=rng.normal(size=(batch, n_agents, obs_dim)),
+        obs=rng.normal(size=(batch, n_agents, obs_dim)).astype(dtype),
         action_indices=rng.integers(0, 5, size=(batch, n_agents)),
-        rewards=rng.normal(size=(batch, n_agents)),
-        next_obs=rng.normal(size=(batch, n_agents, obs_dim)),
-        terminal=(rng.random(batch) < 0.3).astype(float),
+        rewards=rng.normal(size=(batch, n_agents)).astype(dtype),
+        next_obs=rng.normal(size=(batch, n_agents, obs_dim)).astype(dtype),
+        terminal=(rng.random(batch) < 0.3).astype(dtype),
     )
 
 
@@ -219,15 +222,17 @@ class TestReplayBuffer:
 class _TwoArrayBuffer:
     """The replay buffer laid out plainly: slot s % capacity holds all of
     transition s, observation and next observation in two arrays of their
-    own. ReplayBuffer must sample what this one samples."""
+    own, floats in the training precision. ReplayBuffer must sample what
+    this one samples."""
 
     def __init__(self, capacity, n_agents, obs_dim):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, n_agents, obs_dim))
+        dtype = maddpg.TRAIN_DTYPE
+        self.obs = np.zeros((capacity, n_agents, obs_dim), dtype)
         self.idx = np.zeros((capacity, n_agents), dtype=np.int64)
-        self.rew = np.zeros((capacity, n_agents))
-        self.next = np.zeros((capacity, n_agents, obs_dim))
-        self.term = np.zeros(capacity)
+        self.rew = np.zeros((capacity, n_agents), dtype)
+        self.next = np.zeros((capacity, n_agents, obs_dim), dtype)
+        self.term = np.zeros(capacity, dtype)
         self.total = 0
 
     def put(self, steps, obs, action_indices, rewards, next_obs, terminal):
@@ -470,7 +475,8 @@ class TestCriticUpdate:
         assert np.array_equal(nets[0].critic.flatten(), before)
 
     def test_gradient_matches_finite_differences(self, rng):
-        nets, batch = smooth_synthetic(rng, agent=0)
+        # float64: a central difference of h = 1e-5 is no oracle in float32
+        nets, batch = smooth_synthetic(rng, agent=0, dtype=np.float64)
         for a in nets:
             a.critic_opt = nn.OptimizerState.for_params(a.critic, 1.0,
                                                         algo="sgd")
@@ -526,7 +532,9 @@ class TestCriticUpdate:
 class TestActorUpdate:
     def test_gradient_matches_finite_differences(self, rng):
         for reg in (0.0, 1e-3):
-            nets, batch = smooth_synthetic(rng, agent=0)
+            # float64: a central difference of h = 1e-5 is no oracle in
+            # float32
+            nets, batch = smooth_synthetic(rng, agent=0, dtype=np.float64)
             nets[0].actor_opt = nn.OptimizerState.for_params(
                 nets[0].actor, 1.0, algo="sgd")
             theta0 = nets[0].actor.copy()
@@ -830,7 +838,8 @@ class TestRewardLogAndCheckpoints:
 
     @staticmethod
     def _same_nets(got, nets):
-        """load_checkpoint: every network bit for bit, in writable arrays."""
+        """load_checkpoint: every network's float64 widening bit for bit,
+        in writable float64 arrays."""
         assert len(got) == len(nets)
         for g, a in zip(got, nets):
             assert g.actor.head == "softmax" and g.critic.head == "linear"
@@ -840,14 +849,18 @@ class TestRewardLogAndCheckpoints:
                 assert len(mine.weights) == len(theirs.weights)
                 for x, y in zip(mine.weights + mine.biases,
                                 theirs.weights + theirs.biases):
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert x.dtype == np.float64
+                    assert x.shape == y.shape
+                    assert x.tobytes() == y.astype(np.float64).tobytes()
                     assert x.flags.writeable
 
     def test_checkpoint_round_trip_is_bit_exact(self, tmp_path):
+        # trained networks are float32, so the specials are float32's
         nets = train(tiny_config()).nets
-        specials = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
-                             np.nan, np.nan])
-        specials.view(np.uint64)[-1] = 0x7FF8000000000123  # NaN with payload
+        assert nets[0].actor.weights[0].dtype == np.float32
+        specials = np.array([0.0, -0.0, 1e-45, -1e-45, np.inf, -np.inf,
+                             np.nan, np.nan], dtype=np.float32)
+        specials.view(np.uint32)[-1] = 0x7FC00123  # NaN with payload
         nets[0].actor.weights[0].flat[:8] = specials
         nets[1].critic.biases[0][:8] = specials[::-1]
         nets[2].target_actor.weights[-1].flat[-8:] = specials
@@ -1084,7 +1097,7 @@ class TestRewardLogAndCheckpoints:
 # one gradient.
 
 def _ref_forward(params, x, return_cache=False):
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     squeeze = x.ndim == 1
     h = x.reshape(1, -1) if squeeze else x
     acts, pre = [h], []
@@ -1106,7 +1119,7 @@ def _ref_forward(params, x, return_cache=False):
 
 def _ref_head(params, x, upstream):
     out, (acts, pre, squeeze) = _ref_forward(params, x, return_cache=True)
-    u = np.asarray(upstream, dtype=float)
+    u = np.asarray(upstream)
     if squeeze:
         u = u.reshape(1, -1)
         out = out.reshape(1, -1)
@@ -1141,6 +1154,10 @@ def _ref_input_gradient(params, x, upstream, columns=slice(None)):
     return g[0] if squeeze else g
 
 
+def _ref_one_hots(batch):
+    return np.eye(world.N_ACTIONS, dtype=batch.obs.dtype)[batch.action_indices]
+
+
 def _ref_critic_update(agent, nets, batch, gamma, max_grad_norm):
     m = batch.size
     next_probs = np.stack(
@@ -1149,7 +1166,7 @@ def _ref_critic_update(agent, nets, batch, gamma, max_grad_norm):
     x_next = _joint_input(batch.next_obs, next_probs)
     q_next = _ref_forward(nets[agent].target_critic, x_next)[:, 0]
     y = td_target(batch.rewards[:, agent], batch.terminal, q_next, gamma)
-    x = _joint_input(batch.obs, world.ACTION_ONE_HOTS[batch.action_indices])
+    x = _joint_input(batch.obs, _ref_one_hots(batch))
     q = _ref_forward(nets[agent].critic, x)[:, 0]
     err = q - y
     loss = float(np.mean(err ** 2))
@@ -1166,14 +1183,14 @@ def _ref_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
     probs_i = _ref_forward(actor, obs_i)
-    actions = world.ACTION_ONE_HOTS[batch.action_indices]
+    actions = _ref_one_hots(batch)
     actions[:, agent] = probs_i
     x = _joint_input(batch.obs, actions)
     q = _ref_forward(nets[agent].critic, x)[:, 0]
     loss = float(-np.mean(q))
     start = batch.obs.shape[2] * n + agent * world.N_ACTIONS
     g_action = _ref_input_gradient(nets[agent].critic, x,
-                                   np.full((m, 1), -1.0 / m),
+                                   np.full((m, 1), -1.0 / m, x.dtype),
                                    slice(start, start + world.N_ACTIONS))
     g, acts, pre, _ = _ref_head(actor, obs_i, g_action)
     if logit_reg > 0.0:
@@ -1194,13 +1211,13 @@ def _two_pass_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     actor = nets[agent].actor
     obs_i = batch.obs[:, agent]
     actor_cache = nn.forward(actor, obs_i, return_cache=True)
-    actions = world.ACTION_ONE_HOTS[batch.action_indices]
+    actions = _ref_one_hots(batch)
     actions[:, agent] = actor_cache[0]
     x = _joint_input(batch.obs, actions)
     cache = nn.forward(nets[agent].critic, x, return_cache=True)
     loss = float(-np.mean(cache[0][:, 0]))
-    dx = nn.input_gradient(nets[agent].critic, x, np.full((m, 1), -1.0 / m),
-                           cache)
+    dx = nn.input_gradient(nets[agent].critic, x,
+                           np.full((m, 1), -1.0 / m, x.dtype), cache)
     obs_block = batch.obs.shape[2] * n
     g_action = dx[:, obs_block + agent * world.N_ACTIONS:
                   obs_block + (agent + 1) * world.N_ACTIONS]
@@ -1220,12 +1237,17 @@ def _two_pass_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     return loss
 
 
-def _clone(nets, lr=0.01, algo="adam"):
-    return [AgentNets(a.actor.copy(), a.critic.copy(), a.target_actor.copy(),
-                      a.target_critic.copy(),
-                      nn.OptimizerState.for_params(a.actor, lr, algo),
-                      nn.OptimizerState.for_params(a.critic, lr, algo))
-            for a in nets]
+def _clone(nets, lr=0.01, algo="adam", dtype=maddpg.TRAIN_DTYPE):
+    """Fresh copies of nets in dtype, with fresh optimizers."""
+    out = []
+    for a in nets:
+        actor, critic, target_actor, target_critic = (
+            getattr(a, key).astype(dtype).copy()
+            for key in ("actor", "critic", "target_actor", "target_critic"))
+        out.append(AgentNets(actor, critic, target_actor, target_critic,
+                             nn.OptimizerState.for_params(actor, lr, algo),
+                             nn.OptimizerState.for_params(critic, lr, algo)))
+    return out
 
 
 _ROUND_SHAPES = pytest.mark.parametrize(
@@ -1283,20 +1305,26 @@ def test_update_round_matches_reference(n_agents, batch_size, obs_dim, hidden,
                     assert np.array_equal(wa, wb), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
 @pytest.mark.parametrize("logit_reg", [0.0, 1e-2])
 @_ROUND_SHAPES
 def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
-                                            hidden, logit_reg, monkeypatch):
+                                            hidden, logit_reg, dtype,
+                                            monkeypatch):
     """The folded actor step applies the two-pass step's gradient, to
-    rounding. At SGD lr 1, unclipped, the applied step is the gradient.
-    An entry summed from terms that nearly cancel keeps only the rounding
-    of its terms, so the tolerance is 1e-12 of each entry or of the
-    layer's largest entry, whichever is larger."""
+    rounding, in the training precision and in float64. At SGD lr 1,
+    unclipped, the applied step is the gradient. An entry summed from
+    terms that nearly cancel keeps only the rounding of its terms, so the
+    tolerance is 1000 machine epsilons of the dtype (1.2e-4 in float32,
+    2.2e-13 in float64) of each entry or of the layer's largest entry,
+    whichever is larger; the cases here stay within 15 epsilons."""
+    tol = 1000 * np.finfo(dtype).eps
     rng = np.random.default_rng(100 * n_agents + batch_size)
     nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
                               hidden=hidden, batch=batch_size, algo="sgd",
-                              lr=1.0)
-    two = _clone(nets, lr=1.0, algo="sgd")
+                              lr=1.0, dtype=dtype)
+    two = _clone(nets, lr=1.0, algo="sgd", dtype=dtype)
     applied = []
     real = nn.clip_and_apply
 
@@ -1307,7 +1335,7 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
     monkeypatch.setattr(nn, "clip_and_apply", recording)
     monkeypatch.setattr(maddpg, "clip_and_apply", recording)
     for i in range(n_agents):
-        batch = random_batch(rng, batch_size, n_agents, obs_dim=obs_dim)
+        batch = random_batch(rng, batch_size, n_agents, obs_dim, dtype)
         before = nets[i].actor.copy()
         assert actor_update(i, nets, batch, 0.0, logit_reg) == \
             _two_pass_actor_update(i, two, batch, 0.0, logit_reg)
@@ -1317,8 +1345,119 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
                 nets[i].actor.weights + nets[i].actor.biases, folded,
                 two_pass):
             assert np.array_equal(p1, p0 - g)
-            np.testing.assert_allclose(g, want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
+            assert g.dtype == dtype
+            np.testing.assert_allclose(g, want, rtol=tol,
+                                       atol=tol * np.abs(want).max())
+
+
+def _arrays(value):
+    """Every ndarray in a pass's return value: an array, an MlpParams, or
+    forward's (out, (activations, logits, squeeze)) tuple."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, nn.MlpParams):
+        return value.weights + value.biases
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def test_training_stays_float32(monkeypatch):
+    """Networks, Adam moments, the replay buffer, every sampled batch and
+    every pass of every update round are float32."""
+    returned = []  # (pass, dtypes of its returned arrays)
+    for name in ("forward", "backward_params", "input_gradient"):
+        def recording(*args, real=getattr(maddpg, name), name=name,
+                      **kwargs):
+            out = real(*args, **kwargs)
+            returned.append((name, {a.dtype for a in _arrays(out)}))
+            return out
+        # acting runs through _team_forward, so only update rounds call
+        # these three
+        monkeypatch.setattr(maddpg, name, recording)
+    sampled = []
+    real_sample = ReplayBuffer.sample
+
+    def sample(self, batch_size, rng):
+        batch = real_sample(self, batch_size, rng)
+        sampled.append((self, batch))
+        return batch
+
+    monkeypatch.setattr(ReplayBuffer, "sample", sample)
+    res = train(tiny_config(max_episodes=6))
+    assert res.update_rounds > 1
+    f32 = np.dtype(np.float32)
+    assert {name for name, _ in returned} == {
+        "forward", "backward_params", "input_gradient"}
+    assert all(dtypes == {f32} for _name, dtypes in returned), returned
+    assert len(sampled) == 3 * res.update_rounds
+    for buf, batch in sampled:
+        assert buf._obs.dtype == f32 and buf._rew.dtype == f32
+        for name in ("obs", "rewards", "next_obs", "terminal"):
+            assert getattr(batch, name).dtype == f32, name
+    for a in res.nets:
+        for key in ("actor", "critic", "target_actor", "target_critic"):
+            p = getattr(a, key)
+            assert all(x.dtype == f32 for x in p.weights + p.biases), key
+        for opt in (a.actor_opt, a.critic_opt):
+            assert opt.t == res.update_rounds
+            assert all(x.dtype == f32 for x in opt.m + opt.v)
+
+
+def _widened(batch):
+    return Batch(batch.obs.astype(np.float64), batch.action_indices,
+                 batch.rewards.astype(np.float64),
+                 batch.next_obs.astype(np.float64),
+                 batch.terminal.astype(np.float64))
+
+
+@pytest.mark.parametrize("n_agents, batch_size, obs_dim, hidden", [
+    pytest.param(3, 256, 20, (128, 64), id="desk"),
+    pytest.param(3, 1256, 18, (128, 64), id="reference")])
+def test_float32_round_matches_float64(n_agents, batch_size, obs_dim, hidden,
+                                       monkeypatch):
+    """One float32 update round against a float64 round run on the same
+    float32 values of networks and batches, with fresh Adam moments.
+
+    Tolerances, each about ten times the largest error of five seeds at
+    both shapes: every loss to a relative 1e-5; every applied gradient to
+    1e-4 of its array's largest entry; every parameter after the round,
+    targets included, to 1e-3, a tenth of the learning rate. A first Adam
+    step moves each weight by about the learning rate along its gradient's
+    sign, so the last bound also says that no weight moved the other way.
+    """
+    rng = np.random.default_rng(7 * batch_size)
+    nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
+                              hidden=hidden)
+    wide = _clone(nets, dtype=np.float64)
+    applied = []
+    real = nn.clip_and_apply
+
+    def recording(params, grads, opt, max_grad_norm):
+        applied.append(grads.weights + grads.biases)
+        return real(params, grads, opt, max_grad_norm)
+
+    monkeypatch.setattr(maddpg, "clip_and_apply", recording)
+    for i in range(n_agents):
+        batch = random_batch(rng, batch_size, n_agents, obs_dim)
+        for update, args in ((critic_update, (0.97, 0.5)),
+                             (actor_update, (0.5, 1e-3))):
+            got = update(i, nets, batch, *args)
+            want = update(i, wide, _widened(batch), *args)
+            assert got == pytest.approx(want, rel=1e-5), update.__name__
+            want_grads, got_grads = applied.pop(), applied.pop()
+            for g, w in zip(got_grads, want_grads):
+                assert g.dtype == np.float32 and w.dtype == np.float64
+                np.testing.assert_allclose(g, w, rtol=0,
+                                           atol=1e-4 * np.abs(w).max())
+    sync_targets(nets, 0.01)
+    sync_targets(wide, 0.01)
+    for a, b in zip(nets, wide):
+        for key in ("actor", "critic", "target_actor", "target_critic"):
+            p, q = getattr(a, key), getattr(b, key)
+            for x, y in zip(p.weights + p.biases, q.weights + q.biases):
+                assert x.dtype == np.float32
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-3)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
