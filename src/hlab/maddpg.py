@@ -17,8 +17,9 @@ played side by side, as one batch of lock-step worlds (see train).
 
 Training runs in TRAIN_DTYPE, float32: every network and Adam moment, the
 replay buffer's observations and rewards, and so every update round. The
-teams act on float64 widenings of the actors (_team_forward), so a rollout
-or an analysis of live networks equals that of their saved checkpoint.
+teams act, and are analysed, on float64 widenings of the actors
+(_team_actors), so a rollout or an analysis of live networks equals that
+of their saved checkpoint.
 """
 from __future__ import annotations
 
@@ -355,20 +356,16 @@ def _team_forward(actors: Sequence[MlpParams]
                   ) -> Callable[[np.ndarray], np.ndarray]:
     """obs (..., n, d) -> every actor's soft output on its own row, (..., n, 5).
 
-    Row i of each team equals forward(actors[i].astype(float),
-    obs[..., i, :]) bit for bit: the weights are stacked as float64, so a
-    float32 actor acts through its exact widening. The actors are softmax
-    networks of one shape (_team_actors checks a team that did not come
-    from build_agents) and run as one batched network: matmul broadcasts
+    Row i of each team equals forward(actors[i], obs[..., i, :]) bit for
+    bit. The actors are softmax networks of one shape, as _team_actors
+    returns them, and run as one batched network: matmul broadcasts
     (..., n, 1, d) @ (n, d, h), which runs the same one-row product on each
     (team, agent) slice as forward does, and every other operation acts
     elementwise or along rows. The stack is a copy of the weights, so the
     function goes stale once an actor changes.
     """
-    layers = [(np.stack([a.weights[l] for a in actors],
-                        dtype=float).transpose(0, 2, 1),
-               np.stack([a.biases[l] for a in actors],
-                        dtype=float)[:, None, :])
+    layers = [(np.stack([a.weights[l] for a in actors]).transpose(0, 2, 1),
+               np.stack([a.biases[l] for a in actors])[:, None, :])
               for l in range(actors[0].n_layers)]
 
     def probs(obs: np.ndarray) -> np.ndarray:
@@ -741,8 +738,8 @@ def train(config: TrainConfig,
         rewards = ep_rewards[episodes]  # a copy: a cut episode's sums so far
         kept, played, final_step, goal, carry = _play_block(
             states, episodes, first, budget, ep_eps[episodes], rewards,
-            scenario, _team_forward([a.actor for a in nets]), explore_rng,
-            buffer)
+            scenario, _team_forward(_team_actors(nets, scenario)),
+            explore_rng, buffer)
         ep_rewards[episodes[:kept]] = rewards[:kept]
         ended = final_step[:kept] > 0
         finished = episodes[:kept][ended]

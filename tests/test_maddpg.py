@@ -854,13 +854,21 @@ class TestRewardLogAndCheckpoints:
                     assert x.tobytes() == y.astype(np.float64).tobytes()
                     assert x.flags.writeable
 
-    def test_checkpoint_round_trip_is_bit_exact(self, tmp_path):
-        # trained networks are float32, so the specials are float32's
-        nets = train(tiny_config()).nets
-        assert nets[0].actor.weights[0].dtype == np.float32
-        specials = np.array([0.0, -0.0, 1e-45, -1e-45, np.inf, -np.inf,
-                             np.nan, np.nan], dtype=np.float32)
-        specials.view(np.uint32)[-1] = 0x7FC00123  # NaN with payload
+    # trained networks hold float32's specials; their float64 widening, as
+    # a checkpoint loads, holds float64's, which float32 cannot represent
+    @pytest.mark.parametrize("dtype, denormal, nan", [
+        pytest.param(np.float32, 1e-45, 0x7FC00123, id="float32"),
+        pytest.param(np.float64, 5e-324, 0x7FF8000000000123, id="float64")])
+    def test_checkpoint_round_trip_is_bit_exact(self, tmp_path, dtype,
+                                                denormal, nan):
+        nets = [AgentNets(*(getattr(a, key).astype(dtype)
+                            for key in ("actor", "critic", "target_actor",
+                                        "target_critic")))
+                for a in train(tiny_config()).nets]
+        assert nets[0].actor.weights[0].dtype == dtype
+        specials = np.array([0.0, -0.0, denormal, -denormal, np.inf,
+                             -np.inf, np.nan, np.nan], dtype=dtype)
+        specials.view(f"u{specials.itemsize}")[-1] = nan  # NaN with payload
         nets[0].actor.weights[0].flat[:8] = specials
         nets[1].critic.biases[0][:8] = specials[::-1]
         nets[2].target_actor.weights[-1].flat[-8:] = specials
