@@ -38,7 +38,6 @@ from hlab.nn import (
     MlpParams,
     OptimizerState,
     _head_vjp,
-    _softmax,
     backward_params,
     clip_and_apply,
     forward,
@@ -352,34 +351,6 @@ def select_action(actor: MlpParams, obs: np.ndarray, epsilon: float,
     return int(np.argmax(probs)), probs
 
 
-def _team_forward(actors: Sequence[MlpParams]
-                  ) -> Callable[[np.ndarray], np.ndarray]:
-    """obs (..., n, d) -> every actor's soft output on its own row, (..., n, 5).
-
-    Row i of each team equals forward(actors[i], obs[..., i, :]) bit for
-    bit. The actors are softmax networks of one shape, as _team_actors
-    returns them, and run as one batched network: matmul broadcasts
-    (..., n, 1, d) @ (n, d, h), which runs the same one-row product on each
-    (team, agent) slice as forward does, and every other operation acts
-    elementwise or along rows. The stack is a copy of the weights, so the
-    function goes stale once an actor changes.
-    """
-    layers = [(np.stack([a.weights[l] for a in actors]).transpose(0, 2, 1),
-               np.stack([a.biases[l] for a in actors])[:, None, :])
-              for l in range(actors[0].n_layers)]
-
-    def probs(obs: np.ndarray) -> np.ndarray:
-        h = obs[..., None, :]
-        for l, (w, b) in enumerate(layers):
-            z = np.matmul(h, w)
-            z += b
-            h = (np.maximum(z, 0.0, out=z) if l < len(layers) - 1
-                 else _softmax(z))
-        return h[..., 0, :]
-
-    return probs
-
-
 def _exploration(epsilon: float, steps: int, n: int,
                  rng: np.random.Generator | None) -> np.ndarray:
     """The exploring picks of `steps` team actions, (steps, n); -1 marks an
@@ -398,20 +369,23 @@ def _exploration(epsilon: float, steps: int, n: int,
                     dtype=np.int64).reshape(steps, n)
 
 
-def _greedy_fill(policy: Callable[[np.ndarray], np.ndarray],
-                 obs: np.ndarray, picks: np.ndarray) -> np.ndarray:
+def _greedy_fill(team: MlpParams, obs: np.ndarray,
+                 picks: np.ndarray) -> np.ndarray:
     """picks (..., n) with each -1 replaced by that agent's greedy action.
 
-    policy is a _team_forward and obs (..., n, d) the teams' observations.
-    The actors run only for teams in which some agent acts greedily.
+    team is the actors stacked by MlpParams.stack and obs (..., n, d) the
+    teams' observations; agent i's row runs through its own actor as one
+    (1, d) row, so its output equals forward(actors[i], obs[..., i, :])
+    bit for bit. The actors run only for teams in which some agent acts
+    greedily.
     """
     greedy = picks < 0
     if greedy.all():
-        return policy(obs).argmax(axis=-1)
+        return forward(team, obs[..., None, :])[..., 0, :].argmax(axis=-1)
     teams = greedy.any(axis=-1).nonzero()[0]
     if teams.size:
-        picks[teams] = np.where(greedy[teams],
-                                policy(obs[teams]).argmax(axis=-1),
+        probs = forward(team, obs[teams][..., None, :])[..., 0, :]
+        picks[teams] = np.where(greedy[teams], probs.argmax(axis=-1),
                                 picks[teams])
     return picks
 
@@ -607,8 +581,8 @@ def _next_update(total: int, config: TrainConfig) -> int:
 def _play_block(states: list[WorldState], episodes: np.ndarray,
                 first: np.ndarray, budget: np.ndarray, epsilons: np.ndarray,
                 rewards: np.ndarray, scenario: ScenarioConfig,
-                policy: Callable[[np.ndarray], np.ndarray],
-                explore_rng: np.random.Generator, buffer: ReplayBuffer
+                team: MlpParams, explore_rng: np.random.Generator,
+                buffer: ReplayBuffer
                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray,
                            WorldState | None]:
     """Play one block of episodes in lock-step, streaming into buffer.
@@ -636,7 +610,7 @@ def _play_block(states: list[WorldState], episodes: np.ndarray,
                                             explore_rng)
 
     def act(live: np.ndarray, t: int, obs: np.ndarray) -> np.ndarray:
-        return _greedy_fill(policy, obs, picks[live, t])
+        return _greedy_fill(team, obs, picks[live, t])
 
     played = budget.copy()
     budget = budget.copy()  # lowered to stop the worlds a goal drops
@@ -738,7 +712,7 @@ def train(config: TrainConfig,
         rewards = ep_rewards[episodes]  # a copy: a cut episode's sums so far
         kept, played, final_step, goal, carry = _play_block(
             states, episodes, first, budget, ep_eps[episodes], rewards,
-            scenario, _team_forward(_team_actors(nets, scenario)),
+            scenario, MlpParams.stack(_team_actors(nets, scenario)),
             explore_rng, buffer)
         ep_rewards[episodes[:kept]] = rewards[:kept]
         ended = final_step[:kept] > 0
@@ -819,7 +793,7 @@ def _team_actors(nets: Sequence[AgentNets] | Sequence[MlpParams],
 
     One actor per agent, each a softmax over the N_ACTIONS actions on the
     scenario's observations with agent 1's layer widths, so that the team
-    runs as one _team_forward; an AgentNets team's critics must take the
+    acts as one MlpParams.stack; an AgentNets team's critics must take the
     scenario's joint input.
     """
     nets = list(nets)
@@ -856,13 +830,13 @@ def rollout(nets: Sequence[AgentNets] | Sequence[MlpParams],
             scenario: ScenarioConfig, epsilon: float = 0.0,
             rng: np.random.Generator | None = None) -> Trajectory:
     """Execute one episode. epsilon=0 gives the deterministic greedy policy."""
-    policy = _team_forward(_team_actors(nets, scenario))
+    team = MlpParams.stack(_team_actors(nets, scenario))
     n = scenario.n_agents
     start = world.Worlds.of([world.reset(scenario)])
     _live, obs, indices, outs, _next_obs = zip(*_play(
         start, np.array([scenario.max_steps]), scenario,
         lambda _live, _t, o: _greedy_fill(
-            policy, o, _exploration(epsilon, 1, n, rng))))
+            team, o, _exploration(epsilon, 1, n, rng))))
     # the budget is the horizon, so the last step ends the episode
     return Trajectory(
         scenario_id=scenario.scenario_id,

@@ -6,6 +6,10 @@ inputs, reverse-accumulated input Jacobians (at one input, or stacked over
 many), Adam/SGD steps guarded by global-norm clipping, and Polyak target
 updates.
 
+One forward loop, over leading axes, runs a network on a vector or rows,
+a team stacked by MlpParams.stack, and the Jacobian pass's one-row stack;
+one pull-back loop (_to_input) serves input_gradient and input_jacobians.
+
 Precision follows the operands. A pass over float32 weights and a float32
 input runs in float32; lists, integers and float64 arrays are taken as
 float64, and float64 wins any mix. Training is float32: networks, Adam
@@ -36,8 +40,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class MlpParams:
-    weights: list[np.ndarray]  # layer l: (fan_out, fan_in)
-    biases: list[np.ndarray]  # layer l: (fan_out,)
+    weights: list[np.ndarray]  # layer l: (fan_out, fan_in); stacked (n, ...)
+    biases: list[np.ndarray]  # layer l: (fan_out,); stacked (n, 1, fan_out)
     head: Head = "linear"
 
     @property
@@ -46,11 +50,19 @@ class MlpParams:
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
+
+    @classmethod
+    def stack(cls, nets: Sequence["MlpParams"]) -> "MlpParams":
+        """Same-shaped nets as one: forward runs member i on rows [..., i, :,
+        :]. A copy of the weights, stale once a member changes."""
+        return cls([np.stack(ws) for ws in zip(*(p.weights for p in nets))],
+                   [np.stack(bs)[:, None, :]
+                    for bs in zip(*(p.biases for p in nets))], nets[0].head)
 
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights],
@@ -105,7 +117,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(params: MlpParams, x: np.ndarray,
             return_cache: bool = False):
-    """Evaluate the network on a vector (in_dim,) or a batch (m, in_dim).
+    """Evaluate the network on a vector (in_dim,) or on rows (..., m, in_dim).
+
+    A vector runs as one (1, in_dim) row. Leading axes broadcast against a
+    stacked network's (MlpParams.stack); each layer's matmul runs the same
+    2-D product on every (m, in_dim) slice.
 
     With return_cache=True also returns what the backward passes need: the
     layer activations (input first, output last) and the head's
@@ -114,12 +130,12 @@ def forward(params: MlpParams, x: np.ndarray,
     x = _as_float(x)
     squeeze = x.ndim == 1
     h = x.reshape(1, -1) if squeeze else x
-    if h.shape[1] != params.in_dim:
-        raise ValueError(f"input dim {h.shape[1]} does not match network "
+    if h.shape[-1] != params.in_dim:
+        raise ValueError(f"input dim {h.shape[-1]} does not match network "
                          f"in_dim {params.in_dim}")
     acts = [h]
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T
+        z = np.matmul(h, w.swapaxes(-1, -2))
         z += b
         if l < params.n_layers - 1:
             h = np.maximum(z, 0.0, out=z)
@@ -182,6 +198,15 @@ def backward_params(params: MlpParams, x: np.ndarray,
     return MlpParams(grads_w, grads_b, params.head)
 
 
+def _to_input(params: MlpParams, g: np.ndarray, acts) -> np.ndarray:
+    """Pull g, a fresh array of cotangents of acts[-2] (the last hidden
+    activation, or the input), back to the input through each ReLU mask."""
+    for l in range(params.n_layers - 1, 0, -1):
+        g *= acts[l] > 0.0
+        g = np.matmul(g, params.weights[l - 1])
+    return g
+
+
 def input_gradient(params: MlpParams, x: np.ndarray,
                    upstream: np.ndarray, cache=None) -> np.ndarray:
     """Gradient of <upstream, f(x)> w.r.t. x; batched rows stay independent.
@@ -190,10 +215,7 @@ def input_gradient(params: MlpParams, x: np.ndarray,
     forward pass.
     """
     g, acts, squeeze = _head_grad(params, x, upstream, cache)
-    for l in range(params.n_layers - 1, 0, -1):
-        g = g @ params.weights[l]
-        g *= acts[l] > 0.0
-    g = g @ params.weights[0]
+    g = _to_input(params, g @ params.weights[-1], acts)
     return g[0] if squeeze else g
 
 
@@ -208,33 +230,25 @@ def input_jacobians(params: MlpParams, xs: np.ndarray) -> np.ndarray:
     """input_jacobian at every row of xs (T, in_dim): shape (T, out, in_dim).
 
     Reverse accumulation, whose cost follows the 5 action outputs, not the
-    18-20 inputs: one stacked forward keeps each hidden ReLU mask, then the
-    head's Jacobian (S W_L under softmax, else W_L) goes down the layers as
-    jac <- (jac * mask_l) @ W_l. Rows stack as (T, 1, in_dim), so every
-    product is the per-step 2-D one, and slice t does not depend on T.
+    18-20 inputs: one forward over the rows stacked as (T, 1, in_dim)
+    keeps each hidden activation, then the head's Jacobian (S W_L under
+    softmax, else W_L) goes down the layers as jac <- (jac * mask_l) @ W_l.
+    Every product is the per-step 2-D one, so slice t does not depend on T.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != params.in_dim:
         raise ValueError(f"inputs of shape {xs.shape} do not stack "
                          f"{params.in_dim}-dim vectors")
-    h, masks = xs[:, None, :], []
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = np.matmul(h, w.T)
-        z += b
-        masks.append(z > 0.0)
-        h = np.maximum(z, 0.0, out=z)
+    p, (acts, _logits, _squeeze) = forward(params, xs[:, None, :],
+                                           return_cache=True)
     w = params.weights[-1]
     if params.head == "softmax":
         # p is (T, 1, out): diag(p) - p p^T per step, stacked
-        p = _softmax(np.matmul(h, w.T) + params.biases[-1])
         s = np.eye(params.out_dim) * p - p.transpose(0, 2, 1) * p
         jac = np.matmul(s, w)
     else:
         jac = np.repeat(w[None], len(xs), axis=0)
-    for w, mask in zip(params.weights[-2::-1], masks[::-1]):
-        jac *= mask
-        jac = np.matmul(jac, w)
-    return jac
+    return _to_input(params, jac, acts)
 
 
 # ---------------------------------------------------------------------------

@@ -1372,17 +1372,26 @@ def _arrays(value):
 
 def test_training_stays_float32(monkeypatch):
     """Networks, Adam moments, the replay buffer, every sampled batch and
-    every pass of every update round are float32."""
-    returned = []  # (pass, dtypes of its returned arrays)
+    every pass of every update round are float32; every acting pass is
+    float64."""
+    updating = []  # the update being run, if any
+    returned = {True: [], False: []}  # in an update? (pass, dtypes)
     for name in ("forward", "backward_params", "input_gradient"):
         def recording(*args, real=getattr(maddpg, name), name=name,
                       **kwargs):
             out = real(*args, **kwargs)
-            returned.append((name, {a.dtype for a in _arrays(out)}))
+            returned[bool(updating)].append(
+                (name, {a.dtype for a in _arrays(out)}))
             return out
-        # acting runs through _team_forward, so only update rounds call
-        # these three
         monkeypatch.setattr(maddpg, name, recording)
+    for name in ("critic_update", "actor_update"):
+        def in_update(*args, real=getattr(maddpg, name), **kwargs):
+            updating.append(real)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                updating.pop()
+        monkeypatch.setattr(maddpg, name, in_update)
     sampled = []
     real_sample = ReplayBuffer.sample
 
@@ -1394,10 +1403,13 @@ def test_training_stays_float32(monkeypatch):
     monkeypatch.setattr(ReplayBuffer, "sample", sample)
     res = train(tiny_config(max_episodes=6))
     assert res.update_rounds > 1
-    f32 = np.dtype(np.float32)
-    assert {name for name, _ in returned} == {
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    update, acting = returned[True], returned[False]
+    assert {name for name, _ in update} == {
         "forward", "backward_params", "input_gradient"}
-    assert all(dtypes == {f32} for _name, dtypes in returned), returned
+    assert all(dtypes == {f32} for _name, dtypes in update), update
+    assert acting
+    assert all(p == ("forward", {f64}) for p in acting), acting
     assert len(sampled) == 3 * res.update_rounds
     for buf, batch in sampled:
         assert buf._obs.dtype == f32 and buf._rew.dtype == f32
@@ -1475,25 +1487,30 @@ def test_team_actions_match_select_action(epsilon, hidden):
     rng = np.random.default_rng(5)
     actors = [nn.init_params(6, hidden, world.N_ACTIONS, "softmax", rng)
               for _ in range(3)]
-    policy = maddpg._team_forward(actors)
+    team = nn.MlpParams.stack(actors)
     team_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         obs = rng.normal(size=(3, 6))
         idx = maddpg._greedy_fill(
-            policy, obs[None], maddpg._exploration(epsilon, 1, 3, team_rng))[0]
+            team, obs[None], maddpg._exploration(epsilon, 1, 3, team_rng))[0]
         picks = [select_action(a, o, epsilon, ref_rng)
                  for a, o in zip(actors, obs)]
         assert idx.tolist() == [p[0] for p in picks]
-        assert np.array_equal(policy(obs), np.stack([p[1] for p in picks]))
+        probs = nn.forward(team, obs[:, None, :])[:, 0, :]
+        assert probs.tobytes() == np.stack([p[1] for p in picks]).tobytes()
     assert team_rng.random() == ref_rng.random()  # same draws consumed
 
 
-def test_team_actions_skip_actors_when_all_explore():
-    def never(obs):
+def test_team_actions_skip_actors_when_all_explore(monkeypatch):
+    def never(*args, **kwargs):
         raise AssertionError("actors ran although every agent explored")
 
+    monkeypatch.setattr(maddpg, "forward", never)
+    team = nn.MlpParams.stack([nn.init_params(
+        4, (3,), world.N_ACTIONS, "softmax", np.random.default_rng(k))
+        for k in range(3)])
     idx = maddpg._greedy_fill(
-        never, np.zeros((1, 3, 4)),
+        team, np.zeros((1, 3, 4)),
         maddpg._exploration(1.0, 1, 3, np.random.default_rng(0)))[0]
     assert idx.shape == (3,)
     with pytest.raises(ValueError, match="rng"):

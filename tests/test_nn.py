@@ -30,6 +30,30 @@ class TestForward:
         for k in range(6):
             assert np.allclose(yb[k], nn.forward(p, xb[k]), atol=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (1,), (4,)],
+                             ids=["n_d", "1_n_d", "k_n_d"])
+    @pytest.mark.parametrize("head, hidden", [
+        ("softmax", (16, 8)), ("linear", (7,)), ("softmax", ())],
+        ids=["two_hidden", "one_hidden", "one_layer"])
+    def test_stacked_members_match_their_own_rows(self, dtype, lead, head,
+                                                  hidden):
+        # a local stream, so the shared one is left as other tests expect
+        rng = np.random.default_rng(len(hidden) + len(lead))
+        nets = [nn.init_params(6, hidden, 5, head, rng).astype(dtype)
+                for _ in range(3)]
+        team = nn.MlpParams.stack(nets)
+        assert (team.in_dim, team.out_dim, team.head) == (6, 5, head)
+        assert [b.shape for b in team.biases] == [
+            (3, 1, w.shape[0]) for w in nets[0].weights]
+        x = rng.normal(size=(*lead, 3, 6)).astype(dtype)
+        got = nn.forward(team, x[..., None, :])[..., 0, :]
+        assert got.shape == x.shape[:-1] + (5,) and got.dtype == dtype
+        for k in np.ndindex(*lead):
+            for i, net in enumerate(nets):
+                want = nn.forward(net, x[k][i])
+                assert got[k][i].tobytes() == want.tobytes()
+
     def test_softmax_head_is_distribution(self, rng):
         p = nn.init_params(6, [4, 3], 5, "softmax", rng)
         y = nn.forward(p, rng.normal(size=(11, 6)) * 30.0)
