@@ -34,7 +34,7 @@ def line_chart(series: Sequence[tuple[str, Sequence[float]]],
                y_range: tuple[float, float],
                title: str, x_label: str, y_label: str,
                x_range: tuple[float, float]) -> str:
-    """Multi-series line chart, each series spread evenly over x_range."""
+    """Multi-series line chart; row t of each series is drawn at x = t."""
     if not series:
         raise ValueError("need at least one series")
     if max(len(ys) for _name, ys in series) < 1:
@@ -48,6 +48,7 @@ def line_chart(series: Sequence[tuple[str, Sequence[float]]],
     plot_h = _H - _MT - _MB
 
     def sx(x: float) -> float:
+        x = min(max(x, x_lo), x_hi)
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
@@ -88,13 +89,10 @@ def line_chart(series: Sequence[tuple[str, Sequence[float]]],
                  f'{y_label}</text>')
     for k, (name, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        if len(ys) == 1:
-            pts = f"{sx(x_lo):.2f},{sy(float(ys[0])):.2f} " \
-                  f"{sx(x_hi):.2f},{sy(float(ys[0])):.2f}"
-        else:
-            step = (x_hi - x_lo) / (len(ys) - 1)
-            pts = " ".join(f"{sx(x_lo + i * step):.2f},{sy(float(v)):.2f}"
-                           for i, v in enumerate(ys))
+        if len(ys) == 1:  # a lone row is drawn from x = 0 to 1, so it shows
+            ys = [ys[0], ys[0]]
+        pts = " ".join(f"{sx(t):.2f},{sy(float(v)):.2f}"
+                       for t, v in enumerate(ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MT + 14 + 16 * k

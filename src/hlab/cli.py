@@ -369,7 +369,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "svg": args.svg,
             "min_segment_length": args.min_segment_length,
         })
-    threads = max(1, int(os.environ.get("HLAB_THREADS", "1") or "1"))
+    try:
+        threads = max(1, int(os.environ.get("HLAB_THREADS", "1") or "1"))
+    except ValueError:
+        raise ValueError(f"HLAB_THREADS must be an integer, got "
+                         f"{os.environ['HLAB_THREADS']!r}")
     if threads > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as ex:
             rows = list(ex.map(_sweep_worker, payloads))

@@ -1006,10 +1006,10 @@ def load_checkpoint(dirpath) -> list[AgentNets]:
     nets = []
     for k, path in enumerate(_agent_files(dirpath), start=1):
         fname = os.path.basename(path)
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             try:
                 doc = json.load(fp)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{fname} is not valid JSON: {exc}") from exc
         _check_agent_doc(fname, k, doc)
         shapes = []

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -644,6 +645,21 @@ class TestSweepCommand:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_invalid_thread_count_exits_2_training_nothing(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a seed was trained")
+
+        monkeypatch.setattr(maddpg, "train", no_train)
+        monkeypatch.setenv("HLAB_THREADS", "abc")
+        rc = cli.main(["sweep", "--scenario", "a", "--seeds", "5,6",
+                       "--out", str(tmp_path / "out"), *TINY])
+        assert rc == cli.EXIT_USAGE
+        assert "HLAB_THREADS must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestParser:
     def test_no_command_is_usage_error(self):
@@ -770,6 +786,20 @@ class TestCharts:
         svg2 = charts.sensitivity_chart(sens, "b", 50)
         for label in ("grad_1_2", "grad_2_1", "grad_3_2"):
             assert label in svg2
+
+    @pytest.mark.parametrize("rows", [38, 50])
+    def test_row_t_is_drawn_at_step_t(self, rng, rows):
+        # the plot box spans steps 0..50 over 434 px from x = 56
+        svgs = [charts.dependency_chart(rng.normal(size=(rows, 3)), "a", 50),
+                charts.sensitivity_chart(rng.random(size=(rows, 3, 3)), "a",
+                                         50)]
+        want = [f"{56 + t * 434 / 50:.2f}" for t in range(rows)]
+        for svg in svgs:
+            lines = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert len(lines) in (3, 6)
+            for pts in lines:
+                assert [p.split(",")[0] for p in pts.split()] == want
+        assert want[-1] == ("377.16" if rows == 38 else "481.32")
 
     def test_values_clamped_to_fixed_range(self):
         deps = np.full((5, 3), 1e9)

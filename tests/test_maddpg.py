@@ -1007,13 +1007,17 @@ class TestRewardLogAndCheckpoints:
         assert "agent_1." in str(info.value)
 
     @pytest.mark.parametrize("loader", LOADERS)
-    def test_loaders_reject_truncated_file(self, saved, capsys, loader):
+    @pytest.mark.parametrize("k, damage", [
+        (1, lambda raw: raw[:raw.index(b'"critic"') + 30]),
+        (2, lambda raw: b"\xff\xfe{}")], ids=["truncated", "not_utf8"])
+    def test_loaders_reject_truncated_file(self, saved, capsys, loader, k,
+                                           damage):
         _nets, paths = saved
-        with open(paths[0]) as fp:
-            text = fp.read()
-        with open(paths[0], "w") as fp:
-            fp.write(text[:text.index('"critic"') + 30])
-        assert "agent_1.json is not valid JSON" in self._rejection(
+        with open(paths[k - 1], "rb") as fp:
+            raw = fp.read()
+        with open(paths[k - 1], "wb") as fp:
+            fp.write(damage(raw))
+        assert f"agent_{k}.json is not valid JSON" in self._rejection(
             loader, paths, capsys)
 
     @pytest.mark.parametrize("loader", LOADERS)
