@@ -48,7 +48,6 @@ def line_chart(series: Sequence[tuple[str, Sequence[float]]],
     plot_h = _H - _MT - _MB
 
     def sx(x: float) -> float:
-        x = min(max(x, x_lo), x_hi)
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
