@@ -3,7 +3,7 @@
 Everything the trainer and the analysis need from a network lives here:
 forward evaluation, reverse-mode gradients with respect to parameters and
 inputs, reverse-accumulated input Jacobians (at one input, or stacked over
-many), Adam/SGD steps guarded by global-norm clipping, and Polyak target
+many), Adam steps guarded by global-norm clipping, and Polyak target
 updates.
 
 One forward loop, over leading axes, runs a network on a vector or rows,
@@ -262,21 +262,19 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moments (or bare SGD when algo='sgd')."""
+    """Adam's step count and moments, one array per weight and bias."""
 
-    algo: Literal["adam", "sgd"] = "adam"
     lr: float = 0.01
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: MlpParams, lr: float,
-                   algo: Literal["adam", "sgd"] = "adam") -> "OptimizerState":
+    def for_params(cls, params: MlpParams,
+                   lr: float) -> "OptimizerState":
         blanks = [np.zeros_like(a) for pair in zip(params.weights, params.biases)
                   for a in pair]
-        return cls(algo=algo, lr=lr,
-                   m=[b.copy() for b in blanks], v=blanks)
+        return cls(lr=lr, m=[b.copy() for b in blanks], v=blanks)
 
 
 def global_norm(grads: MlpParams) -> float:
@@ -288,7 +286,7 @@ def global_norm(grads: MlpParams) -> float:
 
 def clip_and_apply(params: MlpParams, grads: MlpParams, opt: OptimizerState,
                    max_grad_norm: float = 0.5) -> float:
-    """Scale grads to global norm <= max_grad_norm, take one descent step.
+    """Scale grads to global norm <= max_grad_norm, take one Adam step.
 
     Returns the pre-clip global norm. Raises TrainingDiverged if gradients or
     the updated parameters are not finite.
@@ -299,21 +297,16 @@ def clip_and_apply(params: MlpParams, grads: MlpParams, opt: OptimizerState,
     scale = 1.0
     if max_grad_norm > 0 and norm > max_grad_norm:
         scale = max_grad_norm / norm
-    flat_pairs = list(zip(grads.weights, grads.biases))
-    arrays = [a for pair in flat_pairs for a in pair]
+    arrays = [a for pair in zip(grads.weights, grads.biases) for a in pair]
     targets = [a for pair in zip(params.weights, params.biases) for a in pair]
-    if opt.algo == "adam":
-        opt.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** opt.t
-        bc2 = 1.0 - ADAM_BETA2 ** opt.t
-        for g, m, v, p in zip(arrays, opt.m, opt.v, targets):
-            gs = g * scale
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs
-            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    else:
-        for g, p in zip(arrays, targets):
-            p -= opt.lr * g * scale
+    opt.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** opt.t
+    bc2 = 1.0 - ADAM_BETA2 ** opt.t
+    for g, m, v, p in zip(arrays, opt.m, opt.v, targets):
+        gs = g * scale
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gs
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gs * gs
+        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     for p in targets:
         if not np.all(np.isfinite(p)):
             raise TrainingDiverged("parameters left the finite range")

@@ -687,21 +687,14 @@ def observe_worlds(worlds: Worlds, config: ScenarioConfig) -> np.ndarray:
     return source.take(a, axis=1) - source.take(b, axis=1)
 
 
-def observe_all(state: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Every agent's observation, (n_agents, obs_dim): observe_worlds of
-    the state's one world.
-
-    Row i holds the same values as observe(state, i, config).
-    """
-    return observe_worlds(Worlds.of([state]), config)[0]
-
-
 def observe(state: WorldState, agent_index: int, config: ScenarioConfig) -> np.ndarray:
-    """Agent's local observation vector, laid out per ObservationLayout."""
+    """Agent's local observation vector, laid out per ObservationLayout:
+    row agent_index of observe_worlds on the state's one world."""
     n = config.n_agents
     if not 0 <= agent_index < n:
         raise ValueError(f"agent_index {agent_index} out of range for {n} agents")
-    return observe_all(state, config)[operator.index(agent_index)]
+    return observe_worlds(Worlds.of([state]),
+                          config)[0, operator.index(agent_index)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def tiny_config(**kw) -> TrainConfig:
 
 
 def synthetic_world(rng, n_agents=2, obs_dim=4, hidden=(5, 4),
-                    batch=3, algo="adam", lr=0.01, dtype=maddpg.TRAIN_DTYPE):
+                    batch=3, lr=0.01, dtype=maddpg.TRAIN_DTYPE):
     """Small agent population over made-up observations, in the training
     precision unless dtype says otherwise."""
     joint = n_agents * obs_dim + n_agents * world.N_ACTIONS
@@ -55,8 +55,8 @@ def synthetic_world(rng, n_agents=2, obs_dim=4, hidden=(5, 4),
         nets.append(AgentNets(
             actor=actor, critic=critic,
             target_actor=actor.copy(), target_critic=critic.copy(),
-            actor_opt=nn.OptimizerState.for_params(actor, lr, algo=algo),
-            critic_opt=nn.OptimizerState.for_params(critic, lr, algo=algo)))
+            actor_opt=nn.OptimizerState.for_params(actor, lr),
+            critic_opt=nn.OptimizerState.for_params(critic, lr)))
     return nets, random_batch(rng, batch, n_agents, obs_dim, dtype)
 
 
@@ -99,6 +99,21 @@ def smooth_synthetic(rng, agent=0, **kw):
         if _chain_gap(nets, agent, batch) > 1e-3:
             return nets, batch
     raise AssertionError("could not draw a kink-free case")
+
+
+def _record_applied(monkeypatch) -> list:
+    """The gradients that update steps hand to clip_and_apply, in call
+    order, from here to the test's end."""
+    applied = []
+    real = nn.clip_and_apply
+
+    def recording(params, grads, opt, max_grad_norm):
+        applied.append(grads)
+        return real(params, grads, opt, max_grad_norm)
+
+    monkeypatch.setattr(nn, "clip_and_apply", recording)
+    monkeypatch.setattr(maddpg, "clip_and_apply", recording)
+    return applied
 
 
 class TestConfig:
@@ -451,22 +466,24 @@ class TestCriticUpdate:
         zero = self._zero_net(joint)
         nets[0].critic = zero
         nets[0].target_critic = self._zero_net(joint)
-        nets[0].critic_opt = nn.OptimizerState.for_params(zero, 0.0,
-                                                          algo="sgd")
+        nets[0].critic_opt = nn.OptimizerState.for_params(zero, 0.0)
         # q = 0 and q_next = 0, so residuals are -rewards
         batch.rewards[:, 0] = [1.0, -1.0]
         batch.terminal[:] = 0.0
         loss = critic_update(0, nets, batch, gamma=0.97, max_grad_norm=0.5)
         assert loss == pytest.approx(1.0)
+        # Adam at lr 0 leaves the parameters as they were
+        assert not nets[0].critic.flatten().any()
 
     def test_exact_fit_gives_zero_loss_and_no_step(self, rng):
         nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3, batch=1,
-                                      algo="sgd", lr=1.0)
+                                      lr=1.0)
         joint = 2 * 3 + 2 * 5
         nets[0].critic = self._zero_net(joint)
         nets[0].target_critic = self._zero_net(joint)
+        # a zero gradient is an exact zero Adam step
         nets[0].critic_opt = nn.OptimizerState.for_params(
-            nets[0].critic, 1.0, algo="sgd")
+            nets[0].critic, 1.0)
         batch.rewards[:, 0] = 0.0
         batch.terminal[:] = 0.0
         before = nets[0].critic.flatten()
@@ -474,12 +491,10 @@ class TestCriticUpdate:
         assert loss == 0.0
         assert np.array_equal(nets[0].critic.flatten(), before)
 
-    def test_gradient_matches_finite_differences(self, rng):
+    def test_gradient_matches_finite_differences(self, rng, monkeypatch):
         # float64: a central difference of h = 1e-5 is no oracle in float32
         nets, batch = smooth_synthetic(rng, agent=0, dtype=np.float64)
-        for a in nets:
-            a.critic_opt = nn.OptimizerState.for_params(a.critic, 1.0,
-                                                        algo="sgd")
+        applied = _record_applied(monkeypatch)
         # freeze the regression target exactly as the update computes it
         next_probs = np.stack(
             [nn.forward(nets[j].target_actor, batch.next_obs[:, j])
@@ -492,7 +507,7 @@ class TestCriticUpdate:
 
         theta0 = nets[0].critic.copy()
         critic_update(0, nets, batch, gamma=0.9, max_grad_norm=0.0)
-        analytic = theta0.flatten() - nets[0].critic.flatten()  # sgd lr 1
+        analytic = applied.pop().flatten()
 
         probe = theta0.copy()
         flat = theta0.flatten()
@@ -530,16 +545,15 @@ class TestCriticUpdate:
 
 
 class TestActorUpdate:
-    def test_gradient_matches_finite_differences(self, rng):
+    def test_gradient_matches_finite_differences(self, rng, monkeypatch):
+        applied = _record_applied(monkeypatch)
         for reg in (0.0, 1e-3):
             # float64: a central difference of h = 1e-5 is no oracle in
             # float32
             nets, batch = smooth_synthetic(rng, agent=0, dtype=np.float64)
-            nets[0].actor_opt = nn.OptimizerState.for_params(
-                nets[0].actor, 1.0, algo="sgd")
             theta0 = nets[0].actor.copy()
             actor_update(0, nets, batch, max_grad_norm=0.0, logit_reg=reg)
-            analytic = theta0.flatten() - nets[0].actor.flatten()
+            analytic = applied.pop().flatten()
 
             ones = world.ACTION_ONE_HOTS[batch.action_indices]
             probe = theta0.copy()
@@ -567,8 +581,7 @@ class TestActorUpdate:
             assert rel_error(analytic, fd) < 1e-4, f"reg={reg}"
 
     def test_critic_constant_in_actions_gives_zero_gradient(self, rng):
-        nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3,
-                                      algo="sgd", lr=1.0)
+        nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3, lr=1.0)
         # kill the critic's first-layer weights on every action column
         obs_block = 2 * 3
         nets[0].critic.weights[0][:, obs_block:] = 0.0
@@ -609,8 +622,7 @@ class TestActorUpdate:
             actor_update(0, clone, batch2, 0.5)
 
     def test_logit_penalty_shrinks_saturated_logits(self, rng):
-        nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3,
-                                      algo="sgd", lr=1.0)
+        nets, batch = synthetic_world(rng, n_agents=2, obs_dim=3, lr=0.1)
         obs_block = 2 * 3
         nets[0].critic.weights[0][:, obs_block:] = 0.0  # isolate the penalty
         nets[0].actor.biases[-1][...] = np.array([30.0, 0, 0, 0, -30.0])
@@ -1249,7 +1261,7 @@ def _two_pass_actor_update(agent, nets, batch, max_grad_norm, logit_reg):
     return loss
 
 
-def _clone(nets, lr=0.01, algo="adam", dtype=maddpg.TRAIN_DTYPE):
+def _clone(nets, lr=0.01, dtype=maddpg.TRAIN_DTYPE):
     """Fresh copies of nets in dtype, with fresh optimizers."""
     out = []
     for a in nets:
@@ -1257,8 +1269,8 @@ def _clone(nets, lr=0.01, algo="adam", dtype=maddpg.TRAIN_DTYPE):
             getattr(a, key).astype(dtype).copy()
             for key in ("actor", "critic", "target_actor", "target_critic"))
         out.append(AgentNets(actor, critic, target_actor, target_critic,
-                             nn.OptimizerState.for_params(actor, lr, algo),
-                             nn.OptimizerState.for_params(critic, lr, algo)))
+                             nn.OptimizerState.for_params(actor, lr),
+                             nn.OptimizerState.for_params(critic, lr)))
     return out
 
 
@@ -1325,8 +1337,8 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
                                             hidden, logit_reg, dtype,
                                             monkeypatch):
     """The folded actor step applies the two-pass step's gradient, to
-    rounding, in the training precision and in float64. At SGD lr 1,
-    unclipped, the applied step is the gradient. An entry summed from
+    rounding, in the training precision and in float64. Unclipped, the
+    folded step is a fresh Adam step of its recorded gradient. An entry summed from
     terms that nearly cancel keeps only the rounding of its terms, so the
     tolerance is 1000 machine epsilons of the dtype (1.2e-4 in float32,
     2.2e-13 in float64) of each entry or of the layer's largest entry,
@@ -1334,29 +1346,25 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
     tol = 1000 * np.finfo(dtype).eps
     rng = np.random.default_rng(100 * n_agents + batch_size)
     nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
-                              hidden=hidden, batch=batch_size, algo="sgd",
-                              lr=1.0, dtype=dtype)
-    two = _clone(nets, lr=1.0, algo="sgd", dtype=dtype)
-    applied = []
-    real = nn.clip_and_apply
-
-    def recording(params, grads, opt, max_grad_norm):
-        applied.append(grads.weights + grads.biases)
-        return real(params, grads, opt, max_grad_norm)
-
-    monkeypatch.setattr(nn, "clip_and_apply", recording)
-    monkeypatch.setattr(maddpg, "clip_and_apply", recording)
+                              hidden=hidden, batch=batch_size, dtype=dtype)
+    two = _clone(nets, dtype=dtype)
+    adam_step = nn.clip_and_apply
+    applied = _record_applied(monkeypatch)
     for i in range(n_agents):
         batch = random_batch(rng, batch_size, n_agents, obs_dim, dtype)
         before = nets[i].actor.copy()
         assert actor_update(i, nets, batch, 0.0, logit_reg) == \
             _two_pass_actor_update(i, two, batch, 0.0, logit_reg)
         two_pass, folded = applied.pop(), applied.pop()
-        for p0, p1, g, want in zip(
-                before.weights + before.biases,
-                nets[i].actor.weights + nets[i].actor.biases, folded,
-                two_pass):
-            assert np.array_equal(p1, p0 - g)
+        stepped = before.copy()
+        adam_step(stepped, folded,
+                  nn.OptimizerState.for_params(stepped, 0.01), 0.0)
+        for p1, want_p1, g, want in zip(
+                nets[i].actor.weights + nets[i].actor.biases,
+                stepped.weights + stepped.biases,
+                folded.weights + folded.biases,
+                two_pass.weights + two_pass.biases):
+            assert np.array_equal(p1, want_p1)
             assert g.dtype == dtype
             np.testing.assert_allclose(g, want, rtol=tol,
                                        atol=tol * np.abs(want).max())
@@ -1454,14 +1462,7 @@ def test_float32_round_matches_float64(n_agents, batch_size, obs_dim, hidden,
     nets, _ = synthetic_world(rng, n_agents=n_agents, obs_dim=obs_dim,
                               hidden=hidden)
     wide = _clone(nets, dtype=np.float64)
-    applied = []
-    real = nn.clip_and_apply
-
-    def recording(params, grads, opt, max_grad_norm):
-        applied.append(grads.weights + grads.biases)
-        return real(params, grads, opt, max_grad_norm)
-
-    monkeypatch.setattr(maddpg, "clip_and_apply", recording)
+    applied = _record_applied(monkeypatch)
     for i in range(n_agents):
         batch = random_batch(rng, batch_size, n_agents, obs_dim)
         for update, args in ((critic_update, (0.97, 0.5)),
@@ -1470,7 +1471,8 @@ def test_float32_round_matches_float64(n_agents, batch_size, obs_dim, hidden,
             want = update(i, wide, _widened(batch), *args)
             assert got == pytest.approx(want, rel=1e-5), update.__name__
             want_grads, got_grads = applied.pop(), applied.pop()
-            for g, w in zip(got_grads, want_grads):
+            for g, w in zip(got_grads.weights + got_grads.biases,
+                            want_grads.weights + want_grads.biases):
                 assert g.dtype == np.float32 and w.dtype == np.float64
                 np.testing.assert_allclose(g, w, rtol=0,
                                            atol=1e-4 * np.abs(w).max())

@@ -314,26 +314,32 @@ class TestExactKinks:
 
 
 class TestOptimizer:
-    def test_sgd_step_by_hand(self):
+    def test_adam_first_step_by_hand(self):
+        # bias-corrected moments of a first step are g and g^2, so each
+        # coordinate moves by lr * g / (|g| + eps)
         w = np.array([[1.0, 1.0]])
         p = nn.MlpParams([w.copy()], [np.zeros(1)], "linear")
         g = nn.MlpParams([np.array([[0.3, 0.0]])], [np.array([0.4])], "linear")
-        opt = nn.OptimizerState.for_params(p, lr=0.1, algo="sgd")
+        opt = nn.OptimizerState.for_params(p, lr=0.1)
         norm = nn.clip_and_apply(p, g, opt, max_grad_norm=0.0)  # no clipping
         assert norm == pytest.approx(0.5)
-        assert np.allclose(p.weights[0], [[1.0 - 0.03, 1.0]])
-        assert np.allclose(p.biases[0], [-0.04])
+        assert opt.t == 1
+        eps = nn.ADAM_EPS
+        assert np.allclose(p.weights[0], [[1.0 - 0.1 * 0.3 / (0.3 + eps),
+                                           1.0]], rtol=0, atol=1e-12)
+        assert np.allclose(p.biases[0], [-0.1 * 0.4 / (0.4 + eps)],
+                           rtol=0, atol=1e-12)
 
     def test_clip_rescales_to_max_norm(self):
         p = nn.MlpParams([np.zeros((1, 2))], [np.zeros(1)], "linear")
         g = nn.MlpParams([np.array([[3.0, 0.0]])], [np.array([4.0])],
                          "linear")
-        opt = nn.OptimizerState.for_params(p, lr=1.0, algo="sgd")
+        opt = nn.OptimizerState.for_params(p, lr=1.0)
         norm = nn.clip_and_apply(p, g, opt, max_grad_norm=0.5)
         assert norm == pytest.approx(5.0)
-        # applied update = g * (0.5 / 5.0)
-        assert np.allclose(p.weights[0], [[-0.3, 0.0]])
-        assert np.allclose(p.biases[0], [-0.4])
+        # Adam's first moment is (1 - beta1) * g * scale, scale = 0.5 / 5.0
+        assert np.allclose(opt.m[0], [[0.03, 0.0]])
+        assert np.allclose(opt.m[1], [0.04])
 
     def test_adam_first_step_magnitude(self):
         # first Adam step moves each coordinate by ~lr regardless of scale

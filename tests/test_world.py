@@ -636,10 +636,11 @@ class TestCarriedGeometry:
         want = step(self._fresh(s), joint, fresh)
         _assert_outcomes_equal(step(s, joint, replaced), want)
         _assert_outcomes_equal(step(self._fresh(s), joint, replaced), want)
-        _assert_bits_equal(world.observe_all(s, replaced),
-                           world.observe_all(s, fresh), "observations")
-        assert not np.array_equal(world.observe_all(s, replaced),
-                                  world.observe_all(s, c))
+        one = world.Worlds.of([s])
+        _assert_bits_equal(world.observe_worlds(one, replaced),
+                           world.observe_worlds(one, fresh), "observations")
+        assert not np.array_equal(world.observe_worlds(one, replaced),
+                                  world.observe_worlds(one, c))
 
     def test_carried_worlds_under_a_replaced_layout_step_fresh(self):
         c = build_scenario("c")
@@ -874,12 +875,12 @@ def test_step_matches_scalar_reference(scenario_id):
 
 
 @pytest.mark.parametrize("scenario_id", world.SCENARIO_IDS)
-def test_observe_all_rows_equal_observe(scenario_id):
+def test_one_world_observation_rows_equal_observe(scenario_id):
     cfg = build_scenario(scenario_id)
     rng = np.random.default_rng(7)
     s = reset(cfg)
     while not s.done:
-        team = world.observe_all(s, cfg)
+        team = world.observe_worlds(world.Worlds.of([s]), cfg)[0]
         assert team.shape == (cfg.n_agents, cfg.layout(0).total_dim)
         for i in range(cfg.n_agents):
             _assert_bits_equal(team[i], observe(s, i, cfg),
@@ -962,7 +963,9 @@ def test_worlds_step_each_world_as_alone(scenario_id):
         out = world.step_worlds(worlds, indices, cfg)
         alone = []
         for r, s in enumerate(solo):
-            _assert_bits_equal(obs[r], world.observe_all(s, cfg),
+            _assert_bits_equal(obs[r],
+                               world.observe_worlds(world.Worlds.of([s]),
+                                                    cfg)[0],
                                f"observations, world {r}")
             want = step(s, np.eye(5)[indices[r]], cfg)
             got = out.state(r)
