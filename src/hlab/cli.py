@@ -143,7 +143,11 @@ def _resolve_config(args: argparse.Namespace) -> maddpg.TrainConfig:
         if value is not None:
             doc[f.name] = value
     if getattr(args, "hidden", None) is not None:
-        doc["hidden"] = [int(tok) for tok in str(args.hidden).split(",") if tok]
+        try:
+            doc["hidden"] = [int(t) for t in str(args.hidden).split(",") if t]
+        except ValueError:
+            raise ValueError(f"--hidden takes comma separated integers, got "
+                             f"{args.hidden!r}") from None
     return maddpg.TrainConfig.from_json_dict(doc)
 
 

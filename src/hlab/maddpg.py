@@ -195,7 +195,7 @@ class Batch:
     """A sample of transitions; the float fields share one dtype."""
 
     obs: np.ndarray  # (m, n, obs_dim)
-    action_indices: np.ndarray  # (m, n)
+    action_indices: np.ndarray  # (m, n), int8 when sampled
     rewards: np.ndarray  # (m, n)
     next_obs: np.ndarray  # (m, n, obs_dim)
     terminal: np.ndarray  # (m,) 0/1
@@ -249,7 +249,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self._slots = slots = capacity + 1  # also the first final row
         self._obs = np.zeros((2 * slots, n_agents, obs_dim), TRAIN_DTYPE)
-        self._idx = np.zeros((slots, n_agents), dtype=np.int64)
+        self._idx = np.zeros((slots, n_agents), dtype=np.int8)  # 0..4
         self._rew = np.zeros((slots, n_agents), TRAIN_DTYPE)
         self._next_row = np.zeros(slots, dtype=np.int64)
         self._term = np.zeros(slots, dtype=bool)
@@ -508,15 +508,20 @@ def sync_targets(nets: list[AgentNets], tau: float) -> None:
         soft_update(a.target_critic, a.critic, tau)
 
 
+def _seed_streams(config: TrainConfig) -> dict[str, np.random.SeedSequence]:
+    """SeedSequence(config.seed)'s children by name, in spawn order; a new
+    stream goes last, which leaves the others as they are."""
+    init, explore, sample = np.random.SeedSequence(config.seed).spawn(3)
+    return {"init": init, "explore": explore, "sample": sample}
+
+
 def build_agents(scenario: ScenarioConfig, config: TrainConfig) -> list[AgentNets]:
     """Fresh per-agent networks with seeds derived from config.seed."""
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, _explore, _sample = ss.spawn(3)
     return [
         AgentNets.create(scenario.obs_dim, scenario.joint_dim, config.hidden,
                          config.lr_actor, config.lr_critic,
                          np.random.default_rng(child))
-        for child in init_ss.spawn(scenario.n_agents)
+        for child in _seed_streams(config)["init"].spawn(scenario.n_agents)
     ]
 
 
@@ -670,10 +675,9 @@ def train(config: TrainConfig,
         scenario = replace(scenario, max_steps=config.max_episode_length)
     n = scenario.n_agents
 
-    ss = np.random.SeedSequence(config.seed)
-    _init_ss, explore_ss, sample_ss = ss.spawn(3)
-    explore_rng = np.random.default_rng(explore_ss)
-    sample_rng = np.random.default_rng(sample_ss)
+    streams = _seed_streams(config)
+    explore_rng = np.random.default_rng(streams["explore"])
+    sample_rng = np.random.default_rng(streams["sample"])
     nets = build_agents(scenario, config)
 
     buffer = ReplayBuffer(config.memory_size, n, scenario.obs_dim)

@@ -270,8 +270,7 @@ class OptimizerState:
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: MlpParams,
-                   lr: float) -> "OptimizerState":
+    def for_params(cls, params: MlpParams, lr: float) -> "OptimizerState":
         blanks = [np.zeros_like(a) for pair in zip(params.weights, params.biases)
                   for a in pair]
         return cls(lr=lr, m=[b.copy() for b in blanks], v=blanks)

@@ -741,8 +741,9 @@ def read_trajectory_csv(path) -> TrajectoryLog:
     """Parse a trajectory log and check that it is well formed.
 
     Raises ValueError naming the header field or the step at fault: a
-    header other than the magic's, or without scenario= or agents=,
-    columns off the schema, a row of the wrong length or with a cell that
+    header other than the magic's, or without scenario= or agents=, an
+    agents= below 1 or off the column count (checked before any column is
+    named), columns off the schema, a row of the wrong length or a cell that
     does not parse, row k not labelled step k, a done flag other than 0 or
     1, a row after the episode's end, a log without rows or whose last row
     does not end the episode, or an action outside 0..4; also a line the
@@ -767,6 +768,10 @@ def read_trajectory_csv(path) -> TrajectoryLog:
         except csv.Error as exc:
             raise ValueError(f"trajectory line {reader.line_num + 1}: "
                              f"{exc}") from None
+    # count the columns before naming them: agents= may be huge
+    if n < 1 or len(header or ()) != 6 * n + 4:
+        raise ValueError(f"trajectory header field agents={n} does not match "
+                         f"a column row of {len(header or ())} fields")
     expected = trajectory_columns(n)
     if header != expected:
         raise ValueError(f"trajectory columns {header} do not match "

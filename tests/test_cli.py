@@ -114,7 +114,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("flag, value", [
         ("--lr-critic", "-0.5"), ("--max-grad-norm", "nan"),
         ("--epsilon-fraction", "-1"), ("--lr-actor", "nan"),
-        ("--lr-actor", "inf"), ("--seed", "-1")])
+        ("--lr-actor", "inf"), ("--seed", "-1"), ("--hidden", "16,x")])
     def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, flag, value):
         rc = cli.main(["train", "--out", str(tmp_path), "--quiet",
                        *TINY, flag, value])
@@ -497,6 +497,21 @@ class TestReplayCommand:
         capsys.readouterr()
         assert cli.main(["replay", str(path)]) == cli.EXIT_VALIDATION
         assert f"replay failed: {message}" in capsys.readouterr().err
+
+    def test_huge_agent_count_exits_5_naming_it(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a 55-byte log; building its column names would take gigabytes
+        path = tmp_path / "huge.csv"
+        path.write_text(f"# {world.TRAJECTORY_MAGIC} scenario=a "
+                        f"agents=1000000000\nstep\n")
+
+        def no_names(n_agents):
+            raise AssertionError(f"column names built for agents={n_agents}")
+
+        monkeypatch.setattr(world, "trajectory_columns", no_names)
+        assert cli.main(["replay", str(path)]) == cli.EXIT_VALIDATION
+        assert ("replay failed: trajectory header field agents=1000000000"
+                in capsys.readouterr().err)
 
     def test_foreign_csv_exits_5(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"

@@ -226,6 +226,15 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="cannot sample"):
             buf.sample(2, rng)
 
+    def test_action_indices_stored_as_int8(self, rng):
+        buf = ReplayBuffer(4, 2, 3)
+        for k in range(4):
+            buf.push(self._tr(k))
+        assert buf._idx.dtype == np.int8
+        batch = buf.sample(4, rng)
+        assert batch.action_indices.dtype == np.int8
+        assert sorted(batch.action_indices[:, 0].tolist()) == [0, 1, 2, 3]
+
     def test_sample_has_no_duplicates(self, rng):
         buf = ReplayBuffer(16, 2, 3)
         for k in range(16):
@@ -244,7 +253,7 @@ class _TwoArrayBuffer:
         self.capacity = capacity
         dtype = maddpg.TRAIN_DTYPE
         self.obs = np.zeros((capacity, n_agents, obs_dim), dtype)
-        self.idx = np.zeros((capacity, n_agents), dtype=np.int64)
+        self.idx = np.zeros((capacity, n_agents), dtype=np.int8)
         self.rew = np.zeros((capacity, n_agents), dtype)
         self.next = np.zeros((capacity, n_agents, obs_dim), dtype)
         self.term = np.zeros(capacity, dtype)
@@ -1357,8 +1366,8 @@ def test_folded_actor_step_matches_two_pass(n_agents, batch_size, obs_dim,
             _two_pass_actor_update(i, two, batch, 0.0, logit_reg)
         two_pass, folded = applied.pop(), applied.pop()
         stepped = before.copy()
-        adam_step(stepped, folded,
-                  nn.OptimizerState.for_params(stepped, 0.01), 0.0)
+        fresh = nn.OptimizerState.for_params(stepped, nets[i].actor_opt.lr)
+        adam_step(stepped, folded, fresh, 0.0)
         for p1, want_p1, g, want in zip(
                 nets[i].actor.weights + nets[i].actor.biases,
                 stepped.weights + stepped.biases,

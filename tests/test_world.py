@@ -399,6 +399,10 @@ class TestObservations:
             observe(reset(cfg), 3, cfg)
 
 
+def _no_column_names(n_agents):
+    raise AssertionError(f"column names built for agents={n_agents}")
+
+
 class TestTrajectoryIO:
     def _random_episode(self, cfg, seed=11):
         """One episode of uniform random actions, played to its end."""
@@ -482,6 +486,19 @@ class TestTrajectoryIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"step 4: agent 2 logged "
                                              f"action {action}, not an index"):
+            replay_trajectory(path)
+
+    @pytest.mark.parametrize("agents", [0, -2, 4, 1_000_000_000])
+    def test_reader_checks_agents_before_naming_columns(self, tmp_path,
+                                                        monkeypatch, agents):
+        # a huge agents= must cost nothing: no column name is built for it
+        path, lines = self._logged_lines(tmp_path)
+        lines[0] = lines[0].replace("agents=3", f"agents={agents}")
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(world, "trajectory_columns", _no_column_names)
+        with pytest.raises(ValueError, match=f"trajectory header field "
+                                             f"agents={agents} does not match "
+                                             f"a column row of 22 fields"):
             replay_trajectory(path)
 
     def _logged_lines(self, tmp_path):
